@@ -2,7 +2,7 @@
 
 Library surface: grid dynamics and inertia bookkeeping (grid), fleet charging
 strategies and SoC (fleet), event-triggered V1G/V2G response (controller),
-fixed-step RK4 contingency simulation and experiment drivers (simulator),
+fixed-step RK4 contingency simulation and scenario grids (simulator),
 frequency-security metrics (metrics), and the CSV-emitting CLI (cli).
 """
 
@@ -55,19 +55,16 @@ from .metrics import (
     settling_time,
 )
 from .simulator import (
-    DailyCell,
     DayProfile,
     DayProfileRow,
     IntegrationError,
     Scenario,
-    SweepCell,
     Trajectory,
     bundled_day_profile,
-    daily_nadir_scan,
     default_scenario,
     evaluate_scenarios,
     load_day_profile_csv,
-    participation_sweep,
+    scenario_grid,
     simulate,
     synthetic_california_day,
 )

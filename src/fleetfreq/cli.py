@@ -14,22 +14,19 @@ import argparse
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from collections import Counter
 from pathlib import Path
 
 from . import __version__
 from .config import (
     ConfigError,
-    DEFAULT_LEVELS,
-    DEFAULT_MODES,
     DEFAULT_PROFILE_STEP_MIN,
-    DEFAULT_STRATEGIES,
+    ScenarioAxes,
     canonical_json,
     check_sections,
     day_profile_from_value,
     day_profile_to_value,
-    fleet_from_dict,
-    fleet_to_dict,
+    from_section,
     load_config_file,
     metrics_from_config,
     parse_clock_min,
@@ -41,12 +38,12 @@ from .config import (
     parse_strategy,
     scenario_from_config,
     scenario_to_config,
+    to_section,
+    _number,
     _section,
     _take,
 )
-from .controller import ControlMode
 from .fleet import (
-    ChargingStrategy,
     FleetConfig,
     InfeasibleChargingWindow,
     _day_clocks,
@@ -57,11 +54,11 @@ from .grid import CALIFORNIA_LOW_INERTIA_MIX
 from .metrics import FrequencyMetrics
 from .simulator import (
     IntegrationError,
+    Scenario,
     bundled_day_profile,
-    daily_nadir_scan,
     evaluate_scenarios,
+    scenario_grid,
     simulate,
-    sweep_grid,
 )
 
 TRAJECTORY_COLUMNS = "t_s,f_hz,p_mech_pu,p_ev_pu,mean_soc"
@@ -165,22 +162,15 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _metrics_row(
-    scenario_id: str,
-    mode: ControlMode,
-    level: float,
-    strategy: ChargingStrategy,
-    clock_min: float,
-    m: FrequencyMetrics,
-) -> str:
+def _metrics_row(scenario_id: str, s: Scenario, m: FrequencyMetrics) -> str:
     settling = "" if m.settling_time_s is None else _fmt(m.settling_time_s)
     return ",".join(
         (
             scenario_id,
-            mode.value,
-            _fmt(level),
-            strategy.value,
-            _fmt(clock_min),
+            s.controller.mode.value,
+            _fmt(s.controller.participation),
+            s.fleet.strategy.value,
+            _fmt(s.clock_min),
             _fmt(m.nadir_hz),
             _fmt(m.nadir_time_s),
             _fmt(m.rocof_hz_per_s),
@@ -191,8 +181,37 @@ def _metrics_row(
     )
 
 
-def _cell_id(strategy: ChargingStrategy, mode: ControlMode, level: float) -> str:
-    return f"{strategy.value}-{mode.value}-p{int(round(level * 100.0)):03d}"
+def _scenario_id(s: Scenario, with_clock: bool) -> str:
+    """<strategy>-<mode>-pNNN, plus -mNNNN (the clock) when asked."""
+    c = s.controller
+    level = int(round(c.participation * 100.0))
+    sid = f"{s.fleet.strategy.value}-{c.mode.value}-p{level:03d}"
+    return f"{sid}-m{int(round(s.clock_min)):04d}" if with_clock else sid
+
+
+def _write_grid(
+    args, command: str, echo: dict, scenarios: list[Scenario], metric_cfg: dict
+) -> int:
+    """Evaluate a scenario grid and write one metrics row per cell, in grid order.
+
+    Every row needs its own scenario_id, so a grid whose cells share one
+    (levels closer than a whole percent, a repeated mode or strategy) is
+    rejected before any cell runs.
+    """
+    ids = [_scenario_id(s, with_clock=command == "daily") for s in scenarios]
+    shared = [sid for sid, n in Counter(ids).items() if n > 1]
+    if shared:
+        raise ConfigError(
+            f"grid cells share scenario_id {shared[0]!r}: levels must differ by "
+            "a whole percent and modes and strategies must not repeat"
+        )
+    results = evaluate_scenarios(scenarios, args.workers, **metric_cfg)
+    lines = _header(command, echo)
+    lines.append(METRICS_COLUMNS)
+    lines.extend(_metrics_row(sid, s, m) for sid, s, m in zip(ids, scenarios, results))
+    write_atomic(args.out, "\n".join(lines) + "\n")
+    print(f"wrote {args.out} ({len(scenarios)} cells)", file=sys.stderr)
+    return 0
 
 
 def cmd_sweep(args) -> int:
@@ -208,49 +227,13 @@ def cmd_sweep(args) -> int:
         )
     base = scenario_from_config(cfg)
     metric_cfg = metrics_from_config(cfg)
-    sweep_defaults = {
-        "levels": list(DEFAULT_LEVELS),
-        "modes": [m.value for m in DEFAULT_MODES],
-        "strategies": [s.value for s in DEFAULT_STRATEGIES],
-    }
-    sweep_cfg = _take(_section(cfg, "sweep"), sweep_defaults, "sweep")
-    levels = [float(v) for v in sweep_cfg["levels"]]
-    modes = [parse_mode(v) for v in sweep_cfg["modes"]]
-    strategies = [parse_strategy(v) for v in sweep_cfg["strategies"]]
-
-    scenarios = []
-    for strategy in strategies:
-        strat_base = replace(base, fleet=replace(base.fleet, strategy=strategy))
-        scenarios.extend(sweep_grid(strat_base, levels, modes))
-    results = evaluate_scenarios(scenarios, args.workers, **metric_cfg)
+    axes = from_section(_section(cfg, "sweep"), ScenarioAxes(), "sweep")
+    scenarios = scenario_grid(base, axes.levels, axes.modes, axes.strategies)
 
     echo = scenario_to_config(base)
     echo["metrics"] = metric_cfg
-    echo["sweep"] = {
-        "levels": levels,
-        "modes": [m.value for m in modes],
-        "strategies": [s.value for s in strategies],
-    }
-    lines = _header("sweep", echo)
-    lines.append(METRICS_COLUMNS)
-    i = 0
-    for strategy in strategies:
-        for mode in modes:
-            for level in levels:
-                lines.append(
-                    _metrics_row(
-                        _cell_id(strategy, mode, level),
-                        mode,
-                        level,
-                        strategy,
-                        base.clock_min,
-                        results[i],
-                    )
-                )
-                i += 1
-    write_atomic(args.out, "\n".join(lines) + "\n")
-    print(f"wrote {args.out} ({i} cells)", file=sys.stderr)
-    return 0
+    echo["sweep"] = to_section(axes)
+    return _write_grid(args, "sweep", echo, scenarios, metric_cfg)
 
 
 def cmd_daily(args) -> int:
@@ -266,50 +249,21 @@ def cmd_daily(args) -> int:
         _apply(cfg, "daily", "day_profile", args.day_profile)
     base = scenario_from_config(cfg)
     metric_cfg = metrics_from_config(cfg)
-    daily_defaults = {
-        "levels": list(DEFAULT_LEVELS),
-        "modes": [m.value for m in DEFAULT_MODES],
-        "day_profile": None,
-    }
-    daily_cfg = _take(_section(cfg, "daily"), daily_defaults, "daily")
-    levels = [float(v) for v in daily_cfg["levels"]]
-    modes = [parse_mode(v) for v in daily_cfg["modes"]]
+    daily_cfg = dict(_section(cfg, "daily"))
+    day_value = daily_cfg.pop("day_profile", None)
+    axes = from_section(daily_cfg, ScenarioAxes(), "daily", ("levels", "modes"))
     day = (
         bundled_day_profile()
-        if daily_cfg["day_profile"] is None
-        else day_profile_from_value(daily_cfg["day_profile"])
+        if day_value is None
+        else day_profile_from_value(day_value)
     )
-
-    cells = daily_nadir_scan(day, base, levels, modes, args.workers, **metric_cfg)
+    scenarios = scenario_grid(base, axes.levels, axes.modes, day=day)
 
     echo = scenario_to_config(base)
     echo["metrics"] = metric_cfg
-    echo["daily"] = {
-        "levels": levels,
-        "modes": [m.value for m in modes],
-        "day_profile": day_profile_to_value(day),
-    }
-    lines = _header("daily", echo)
-    lines.append(METRICS_COLUMNS)
-    strategy = base.fleet.strategy
-    for cell in cells:
-        cell_id = (
-            f"{_cell_id(strategy, cell.mode, cell.participation)}"
-            f"-m{int(round(cell.clock_min)):04d}"
-        )
-        lines.append(
-            _metrics_row(
-                cell_id,
-                cell.mode,
-                cell.participation,
-                strategy,
-                cell.clock_min,
-                cell.metrics,
-            )
-        )
-    write_atomic(args.out, "\n".join(lines) + "\n")
-    print(f"wrote {args.out} ({len(cells)} cells)", file=sys.stderr)
-    return 0
+    echo["daily"] = to_section(axes, ("levels", "modes"))
+    echo["daily"]["day_profile"] = day_profile_to_value(day)
+    return _write_grid(args, "daily", echo, scenarios, metric_cfg)
 
 
 def cmd_profile(args) -> int:
@@ -318,14 +272,14 @@ def cmd_profile(args) -> int:
         _apply(cfg, "fleet", "strategy", parse_strategy(args.strategy).value)
     if args.step_min is not None:
         _apply(cfg, "profile", "step_min", args.step_min)
-    fleet = fleet_from_dict(_section(cfg, "fleet"), FleetConfig())
+    fleet = from_section(_section(cfg, "fleet"), FleetConfig(), "fleet")
     profile_cfg = _take(
         _section(cfg, "profile"), {"step_min": DEFAULT_PROFILE_STEP_MIN}, "profile"
     )
-    step_min = float(profile_cfg["step_min"])
+    step_min = _number(profile_cfg["step_min"], "profile.step_min")
     clocks = _day_clocks(step_min)
 
-    echo = {"fleet": fleet_to_dict(fleet), "profile": {"step_min": step_min}}
+    echo = {"fleet": to_section(fleet), "profile": {"step_min": step_min}}
     lines = _header("profile", echo)
     lines.append(PROFILE_COLUMNS)
     for clock in clocks:
@@ -347,6 +301,16 @@ def cmd_profile(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _worker_count(text: str) -> int:
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return workers
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,7 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", help="comma-separated participation percents")
     p.add_argument("--modes", help="comma-separated modes (v1g,v2g)")
     p.add_argument("--strategy", help="comma-separated strategies to sweep")
-    p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+    p.add_argument(
+        "--workers", type=_worker_count, default=1, help="parallel worker processes"
+    )
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("daily", help="nadir scan over a 96-interval day profile")
@@ -396,7 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", help="comma-separated participation percents")
     p.add_argument("--modes", help="comma-separated modes (v1g,v2g)")
     p.add_argument("--day-profile", help="day profile CSV (default: bundled synthetic)")
-    p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+    p.add_argument(
+        "--workers", type=_worker_count, default=1, help="parallel worker processes"
+    )
     p.set_defaults(func=cmd_daily)
 
     p = sub.add_parser("profile", help="24 h fleet charging profile")

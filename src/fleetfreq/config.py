@@ -3,19 +3,25 @@
 Every output file echoes its fully resolved configuration in the header so a
 run can be reproduced from the output alone. The loader accepts the same
 shape back, with omitted keys falling back to the documented defaults.
+Sections that mirror a dataclass are read and written from its fields: each
+given value is coerced by the field's type, and a value that does not fit is
+rejected with the field named.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from enum import Enum
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .controller import ControlMode, ControllerConfig
-from .fleet import ChargingStrategy, FleetConfig, VehicleClass
+from .fleet import ChargingStrategy, FleetConfig
 from .grid import (
     GenerationMix,
     GenerationSource,
-    GridParameters,
     INERTIA_PRESETS,
     grid_from_preset,
     load_mix_csv,
@@ -34,14 +40,13 @@ from .simulator import (
     load_day_profile_csv,
 )
 
-DEFAULT_LEVELS = [0.2, 0.4, 0.6, 0.8, 1.0]
-DEFAULT_MODES = [ControlMode.V1G, ControlMode.V2G]
-DEFAULT_STRATEGIES = [
-    ChargingStrategy.IMMEDIATE,
-    ChargingStrategy.DELAYED,
-    ChargingStrategy.CONSTANT_MINIMUM_POWER,
-]
 DEFAULT_PROFILE_STEP_MIN = 15.0
+
+# Scenario fields read from and echoed to the "event" section; the other
+# Scenario fields have sections of their own.
+EVENT_KEYS = ("disturbance_mw", "event_time_s", "clock_min", "horizon_s", "step_s")
+# Fields holding a time of day, given as minutes or "HH:MM".
+CLOCK_FIELDS = {"clock_min", "shift_start_min", "shift_end_min"}
 
 
 class ConfigError(ValueError):
@@ -61,7 +66,7 @@ def parse_clock_min(value) -> float:
         if not (0 <= hours < 24 and 0 <= minutes < 60):
             raise ConfigError(f"bad clock {value!r}: out of range")
         return 60.0 * hours + float(minutes)
-    clock = float(value)
+    clock = _number(value, "clock")
     if not 0.0 <= clock < 1440.0:
         raise ConfigError(f"clock {clock:g} outside [0, 1440) minutes")
     return clock
@@ -73,6 +78,8 @@ def canonical_json(obj) -> str:
 
 def _take(section: dict, known: dict, where: str) -> dict:
     """Overlay section onto known defaults, rejecting unknown keys."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be an object")
     merged = dict(known)
     for key, value in section.items():
         if key not in known:
@@ -94,108 +101,111 @@ def _section(cfg: dict, name: str) -> dict:
 # section <-> object
 
 
-def grid_to_dict(grid: GridParameters) -> dict:
-    return {
-        "h_eff_s": grid.h_eff_s,
-        "s_base_mw": grid.s_base_mw,
-        "f_nominal_hz": grid.f_nominal_hz,
-        "damping_pu": grid.damping_pu,
-        "droop_pu": grid.droop_pu,
-        "t_governor_s": grid.t_governor_s,
-        "t_turbine_s": grid.t_turbine_s,
-        "t_ev_s": grid.t_ev_s,
-    }
+@dataclass(frozen=True)
+class MetricsConfig:
+    """The "metrics" section: the settings of metrics.evaluate."""
+
+    rocof_window_s: float = DEFAULT_ROCOF_WINDOW_S
+    settling_band_hz: float = DEFAULT_SETTLING_BAND_HZ
+    tail_fraction: float = DEFAULT_TAIL_FRACTION
 
 
-def grid_from_dict(section: dict, base: GridParameters) -> GridParameters:
-    merged = _take(section, grid_to_dict(base), "grid")
-    try:
-        return GridParameters(**{k: float(v) for k, v in merged.items()})
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
+@dataclass(frozen=True)
+class ScenarioAxes:
+    """The "sweep" and "daily" sections: the axes of a scenario grid.
 
+    Levels are participation fractions. daily has no strategies (it scans
+    the fleet's own) and adds a day profile, which keeps its own shape.
+    """
 
-def vehicle_to_dict(vehicle: VehicleClass) -> dict:
-    return {
-        "battery_kwh": vehicle.battery_kwh,
-        "charger_kw": vehicle.charger_kw,
-        "discharge_kw": vehicle.discharge_kw,
-        "soc_return": vehicle.soc_return,
-        "soc_reserve": vehicle.soc_reserve,
-        "shift_start_min": vehicle.shift_start_min,
-        "shift_end_min": vehicle.shift_end_min,
-        "charging_efficiency": vehicle.charging_efficiency,
-    }
-
-
-def vehicle_from_dict(section: dict, base: VehicleClass) -> VehicleClass:
-    merged = _take(section, vehicle_to_dict(base), "fleet.vehicle")
-    for key in ("shift_start_min", "shift_end_min"):
-        merged[key] = parse_clock_min(merged[key])
-    try:
-        return VehicleClass(**{k: float(v) for k, v in merged.items()})
-    except ValueError as exc:
-        raise ConfigError(f"fleet.vehicle: {exc}") from exc
-
-
-def fleet_to_dict(fleet: FleetConfig) -> dict:
-    return {
-        "n_vehicles": fleet.n_vehicles,
-        "strategy": fleet.strategy.value,
-        "vehicle": vehicle_to_dict(fleet.vehicle),
-    }
-
-
-def fleet_from_dict(section: dict, base: FleetConfig) -> FleetConfig:
-    merged = _take(section, fleet_to_dict(base), "fleet")
-    vehicle_section = merged["vehicle"]
-    vehicle = (
-        vehicle_section
-        if isinstance(vehicle_section, VehicleClass)
-        else vehicle_from_dict(vehicle_section, base.vehicle)
+    levels: list[float] = field(default_factory=lambda: [0.2, 0.4, 0.6, 0.8, 1.0])
+    modes: list[ControlMode] = field(default_factory=lambda: list(ControlMode))
+    strategies: list[ChargingStrategy] = field(
+        default_factory=lambda: list(ChargingStrategy)
     )
+
+
+def _number(value, where: str) -> float:
+    """A finite JSON number, as a float."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not abs(value) <= sys.float_info.max
+    ):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _parsed(parse, value, where: str):
     try:
-        return FleetConfig(
-            n_vehicles=int(merged["n_vehicles"]),
-            strategy=parse_strategy(merged["strategy"]),
-            vehicle=vehicle,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"fleet: {exc}") from exc
+        return parse(value)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
-def controller_to_dict(controller: ControllerConfig) -> dict:
-    return {
-        "threshold_hz": controller.threshold_hz,
-        "participation": controller.participation,
-        "mode": controller.mode.value,
-        "latch_on": controller.latch_on,
-        "v2g_includes_shed": controller.v2g_includes_shed,
-    }
+def _coerce(tp, value, where: str):
+    """A JSON value as a field of type tp."""
+    if tp is float:
+        return _number(value, where)
+    if tp is int:
+        number = _number(value, where)
+        if not number.is_integer():
+            raise ConfigError(f"{where} must be an integer, got {value!r}")
+        return int(number)
+    if tp is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(f"{where} must be true or false, got {value!r}")
+        return value
+    if get_origin(tp) is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        (item,) = get_args(tp)
+        return [_coerce(item, v, f"{where}[{i}]") for i, v in enumerate(value)]
+    return _parsed(_ENUM_PARSERS[tp], value, where)
 
 
-def controller_from_dict(section: dict, base: ControllerConfig) -> ControllerConfig:
-    merged = _take(section, controller_to_dict(base), "controller")
+def from_section(section: dict, base, where: str, names=None):
+    """Overlay a config section onto `base`, a dataclass instance.
+
+    Only the fields in `names` (default: all of them) are accepted as keys.
+    Nested dataclasses are sections of their own, clock fields go through
+    parse_clock_min, and every other value is coerced by its field's type.
+    """
+    if not isinstance(section, dict):
+        raise ConfigError(f"section {where!r} must be an object")
+    hints = get_type_hints(type(base))
+    known = names or [f.name for f in fields(base)]
+    values = {}
+    for key, value in section.items():
+        if key not in known:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+        at = f"{where}.{key}"
+        if is_dataclass(hints[key]):
+            values[key] = from_section(value, getattr(base, key), at)
+        elif key in CLOCK_FIELDS:
+            values[key] = _parsed(parse_clock_min, value, at)
+        else:
+            values[key] = _coerce(hints[key], value, at)
     try:
-        return ControllerConfig(
-            threshold_hz=float(merged["threshold_hz"]),
-            participation=float(merged["participation"]),
-            mode=parse_mode(merged["mode"]),
-            latch_on=bool(merged["latch_on"]),
-            v2g_includes_shed=bool(merged["v2g_includes_shed"]),
-        )
+        return replace(base, **values)
     except ValueError as exc:
-        raise ConfigError(f"controller: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def event_to_dict(scenario: Scenario) -> dict:
-    return {
-        "disturbance_mw": scenario.disturbance_mw,
-        "event_time_s": scenario.event_time_s,
-        "clock_min": scenario.clock_min,
-        "horizon_s": scenario.horizon_s,
-        "step_s": scenario.step_s,
-    }
+def to_section(obj, names=None) -> dict:
+    """The config section of a dataclass instance; the inverse of from_section."""
+    names = names or [f.name for f in fields(obj)]
+    return {name: _plain(getattr(obj, name)) for name in names}
+
+
+def _plain(value):
+    if is_dataclass(value):
+        return to_section(value)
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return value
 
 
 def mix_to_value(mix: GenerationMix | None):
@@ -219,36 +229,18 @@ def mix_from_value(value) -> GenerationMix | None:
         raise ConfigError("mix must be null, a CSV path, or a list of sources")
     sources = []
     for i, entry in enumerate(value, start=1):
-        entry = _take(
-            entry, {"source": None, "h_seconds": None, "power_mw": None}, f"mix[{i}]"
-        )
+        where = f"mix[{i}]"
+        entry = _take(entry, dict.fromkeys(("source", "h_seconds", "power_mw")), where)
+        h_seconds = _number(entry["h_seconds"], f"{where}.h_seconds")
+        power_mw = _number(entry["power_mw"], f"{where}.power_mw")
         try:
-            sources.append(
-                GenerationSource(
-                    str(entry["source"]),
-                    float(entry["h_seconds"]),
-                    float(entry["power_mw"]),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"mix[{i}]: {exc}") from exc
+            sources.append(GenerationSource(str(entry["source"]), h_seconds, power_mw))
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
     try:
         return GenerationMix(tuple(sources))
     except ValueError as exc:
         raise ConfigError(f"mix: {exc}") from exc
-
-
-def metrics_to_dict(rocof_window_s, settling_band_hz, tail_fraction) -> dict:
-    return {
-        "rocof_window_s": rocof_window_s,
-        "settling_band_hz": settling_band_hz,
-        "tail_fraction": tail_fraction,
-    }
-
-
-DEFAULT_METRICS = metrics_to_dict(
-    DEFAULT_ROCOF_WINDOW_S, DEFAULT_SETTLING_BAND_HZ, DEFAULT_TAIL_FRACTION
-)
 
 
 def day_profile_to_value(day: DayProfile) -> list[dict]:
@@ -271,14 +263,16 @@ def day_profile_from_value(value) -> DayProfile:
         raise ConfigError("day_profile must be a CSV path or a list of rows")
     rows = []
     for i, entry in enumerate(value, start=1):
-        known = {col: None for col in DAY_PROFILE_HEADER}
-        entry = _take(entry, known, f"day_profile[{i}]")
+        where = f"day_profile[{i}]"
+        entry = _take(entry, dict.fromkeys(DAY_PROFILE_HEADER), where)
+        values = {
+            col: _number(entry[col], f"{where}.{col}") for col in DAY_PROFILE_HEADER
+        }
+        clock = values.pop("clock_min")
         try:
-            clock = float(entry["clock_min"])
-            values = {col: float(entry[col]) for col in DAY_PROFILE_HEADER[1:]}
             rows.append(DayProfileRow(clock, _mix_from_day_values(values)))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"day_profile[{i}]: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
     try:
         return DayProfile(tuple(rows))
     except ValueError as exc:
@@ -303,6 +297,9 @@ def parse_mode(value) -> ControlMode:
     except ValueError:
         valid = ", ".join(m.value for m in ControlMode)
         raise ConfigError(f"unknown mode {value!r} (valid: {valid})") from None
+
+
+_ENUM_PARSERS = {ControlMode: parse_mode, ChargingStrategy: parse_strategy}
 
 
 def parse_levels(text: str) -> list[float]:
@@ -384,39 +381,22 @@ def check_sections(cfg: dict) -> None:
 def scenario_from_config(cfg: dict) -> Scenario:
     """Build the base scenario from a config dict, defaults applied."""
     check_sections(cfg)
-    base_grid = grid_from_preset("table2_reported")
-    grid = grid_from_dict(_section(cfg, "grid"), base_grid)
-    mix = mix_from_value(cfg.get("mix"))
-    fleet = fleet_from_dict(_section(cfg, "fleet"), FleetConfig())
-    controller = controller_from_dict(_section(cfg, "controller"), ControllerConfig())
-    event_defaults = {
-        "disturbance_mw": 1800.0,
-        "event_time_s": 0.0,
-        "clock_min": 1200.0,
-        "horizon_s": 60.0,
-        "step_s": 0.01,
-    }
-    event = _take(_section(cfg, "event"), event_defaults, "event")
-    event["clock_min"] = parse_clock_min(event["clock_min"])
-    try:
-        return Scenario(
-            grid=grid,
-            fleet=fleet,
-            controller=controller,
-            mix=mix,
-            disturbance_mw=float(event["disturbance_mw"]),
-            event_time_s=float(event["event_time_s"]),
-            clock_min=event["clock_min"],
-            horizon_s=float(event["horizon_s"]),
-            step_s=float(event["step_s"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"event: {exc}") from exc
+    base = Scenario(
+        grid=from_section(
+            _section(cfg, "grid"), grid_from_preset("table2_reported"), "grid"
+        ),
+        mix=mix_from_value(cfg.get("mix")),
+        fleet=from_section(_section(cfg, "fleet"), FleetConfig(), "fleet"),
+        controller=from_section(
+            _section(cfg, "controller"), ControllerConfig(), "controller"
+        ),
+    )
+    return from_section(_section(cfg, "event"), base, "event", EVENT_KEYS)
 
 
 def metrics_from_config(cfg: dict) -> dict:
-    merged = _take(_section(cfg, "metrics"), DEFAULT_METRICS, "metrics")
-    return {k: float(v) for k, v in merged.items()}
+    """Keyword arguments of evaluate_scenarios, from the "metrics" section."""
+    return to_section(from_section(_section(cfg, "metrics"), MetricsConfig(), "metrics"))
 
 
 def scenario_to_config(scenario: Scenario) -> dict:
@@ -424,9 +404,9 @@ def scenario_to_config(scenario: Scenario) -> dict:
     # and base included) so the header states what the run actually used;
     # feeding it back together with the mix re-derives the same values.
     return {
-        "grid": grid_to_dict(scenario.resolved_grid()),
+        "grid": to_section(scenario.resolved_grid()),
         "mix": mix_to_value(scenario.mix),
-        "fleet": fleet_to_dict(scenario.fleet),
-        "controller": controller_to_dict(scenario.controller),
-        "event": event_to_dict(scenario),
+        "fleet": to_section(scenario.fleet),
+        "controller": to_section(scenario.controller),
+        "event": to_section(scenario, EVENT_KEYS),
     }

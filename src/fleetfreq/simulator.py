@@ -3,9 +3,9 @@
 A contingency scenario is integrated with fixed-step classical RK4. The
 disturbance is a pure generation-loss step; the controller threshold check
 and command update happen once per step at the step boundary and are held
-constant within the step. Experiment drivers run participation sweeps and a
-96-interval daily nadir scan, both embarrassingly parallel with results
-assembled in input-grid order.
+constant within the step. Participation sweeps and the 96-interval daily
+nadir scan are both one scenario grid, evaluated cell by cell (optionally in
+a process pool) with results assembled in input-grid order.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .controller import (
     soc_rate_under_command,
 )
 from .fleet import (
+    ChargingStrategy,
     FleetConfig,
     FleetState,
     charging_window,
@@ -37,7 +38,7 @@ from .grid import (
     GenerationMix,
     GenerationSource,
     GridParameters,
-    effective_inertia,
+    grid_from_mix,
     grid_from_preset,
     _rhs,
 )
@@ -119,11 +120,7 @@ class Scenario:
     def resolved_grid(self) -> GridParameters:
         if self.mix is None:
             return self.grid
-        return replace(
-            self.grid,
-            h_eff_s=effective_inertia(self.mix),
-            s_base_mw=self.mix.total_power_mw,
-        )
+        return grid_from_mix(self.mix, self.grid)
 
 
 @dataclass(frozen=True)
@@ -268,26 +265,7 @@ def simulate(scenario: Scenario) -> Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# Experiment drivers
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    """Metrics for one (mode, participation) cell of a sweep."""
-
-    mode: ControlMode
-    participation: float
-    metrics: metrics_mod.FrequencyMetrics
-
-
-@dataclass(frozen=True)
-class DailyCell:
-    """Metrics for one (clock, mode, participation) cell of a daily scan."""
-
-    clock_min: float
-    mode: ControlMode
-    participation: float
-    metrics: metrics_mod.FrequencyMetrics
+# Scenario grids
 
 
 def _simulate_metrics(task) -> metrics_mod.FrequencyMetrics:
@@ -316,10 +294,22 @@ def evaluate_scenarios(
         return list(pool.map(_simulate_metrics, tasks))
 
 
-def sweep_grid(
-    base: Scenario, levels: list[float], modes: list[ControlMode]
+def scenario_grid(
+    base: Scenario,
+    levels: list[float],
+    modes: list[ControlMode],
+    strategies: list[ChargingStrategy] | None = None,
+    day: DayProfile | None = None,
 ) -> list[Scenario]:
-    """Mode-major, level-minor scenario grid for a participation sweep."""
+    """The scenario grid of a participation sweep or a daily scan.
+
+    Cells are ordered clock-major, then by strategy, mode and level. Without
+    a day profile there is one clock, the base clock and mix; with one, each
+    profile row sets the mix (and so the inertia and power base) and the
+    clock (and so the fleet state). strategies=None keeps the base fleet's.
+    Each cell's key is in its own scenario: fleet.strategy, clock_min,
+    controller.mode and controller.participation.
+    """
     if not levels:
         raise ValueError("levels must be nonempty")
     for level in levels:
@@ -327,73 +317,26 @@ def sweep_grid(
             raise ValueError(f"participation level {level} outside [0, 1]")
     if not modes:
         raise ValueError("modes must be nonempty")
+    if strategies is None:
+        strategies = [base.fleet.strategy]
+    if not strategies:
+        raise ValueError("strategies must be nonempty")
+    if day is None:
+        clocks = [(base.clock_min, base.mix)]
+    else:
+        clocks = [(row.clock_min, row.mix) for row in day.rows]
     return [
         replace(
             base,
+            mix=mix,
+            clock_min=clock,
+            fleet=replace(base.fleet, strategy=strategy),
             controller=replace(base.controller, mode=mode, participation=level),
         )
+        for clock, mix in clocks
+        for strategy in strategies
         for mode in modes
         for level in levels
-    ]
-
-
-def participation_sweep(
-    base: Scenario,
-    levels: list[float],
-    modes: list[ControlMode],
-    workers: int = 1,
-    **metric_kwargs,
-) -> list[SweepCell]:
-    """Metrics over the (mode, level) grid, in deterministic grid order."""
-    scenarios = sweep_grid(base, levels, modes)
-    results = evaluate_scenarios(scenarios, workers, **metric_kwargs)
-    cells = []
-    i = 0
-    for mode in modes:
-        for level in levels:
-            cells.append(SweepCell(mode, level, results[i]))
-            i += 1
-    return cells
-
-
-def daily_nadir_scan(
-    day: DayProfile,
-    base: Scenario,
-    levels: list[float],
-    modes: list[ControlMode],
-    workers: int = 1,
-    **metric_kwargs,
-) -> list[DailyCell]:
-    """Metrics for every (clock interval, mode, level) cell of a day.
-
-    Each interval re-derives effective inertia and the power base from its
-    generation mix and the fleet state from its clock, then runs the same
-    contingency. Rows come back clock-major.
-    """
-    if not levels:
-        raise ValueError("levels must be nonempty")
-    if not modes:
-        raise ValueError("modes must be nonempty")
-    scenarios = []
-    keys = []
-    for row in day.rows:
-        for mode in modes:
-            for level in levels:
-                scenarios.append(
-                    replace(
-                        base,
-                        mix=row.mix,
-                        clock_min=row.clock_min,
-                        controller=replace(
-                            base.controller, mode=mode, participation=level
-                        ),
-                    )
-                )
-                keys.append((row.clock_min, mode, level))
-    results = evaluate_scenarios(scenarios, workers, **metric_kwargs)
-    return [
-        DailyCell(clock, mode, level, m)
-        for (clock, mode, level), m in zip(keys, results)
     ]
 
 
@@ -531,11 +474,8 @@ def day_profile_csv_text(day: DayProfile, comments: list[str] | None = None) -> 
     return "\n".join(lines) + "\n"
 
 
-def bundled_day_profile_path() -> Path:
-    """Filesystem path of the packaged synthetic day profile."""
-    return Path(resources.files("fleetfreq").joinpath("data", BUNDLED_DAY_PROFILE))
-
-
 def bundled_day_profile() -> DayProfile:
     """The packaged synthetic California day profile."""
-    return load_day_profile_csv(bundled_day_profile_path())
+    return load_day_profile_csv(
+        Path(resources.files("fleetfreq").joinpath("data", BUNDLED_DAY_PROFILE))
+    )

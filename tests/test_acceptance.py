@@ -27,9 +27,9 @@ from fleetfreq.grid import (
 from fleetfreq.metrics import rocof, settling_time
 from fleetfreq.simulator import (
     bundled_day_profile,
-    daily_nadir_scan,
     default_scenario,
-    participation_sweep,
+    evaluate_scenarios,
+    scenario_grid,
     simulate,
 )
 
@@ -52,13 +52,11 @@ def reference_base():
 def reference_sweep(reference_base):
     """30 cells: 3 strategies x 2 modes x 5 levels on the reference config."""
     start = time.perf_counter()
-    cells = {}
-    for strategy in ChargingStrategy:
-        base = replace(
-            reference_base, fleet=replace(reference_base.fleet, strategy=strategy)
-        )
-        for cell in participation_sweep(base, LEVELS, MODES):
-            cells[(strategy, cell.mode, cell.participation)] = cell.metrics
+    scenarios = scenario_grid(reference_base, LEVELS, MODES, list(ChargingStrategy))
+    cells = {
+        (s.fleet.strategy, s.controller.mode, s.controller.participation): m
+        for s, m in zip(scenarios, evaluate_scenarios(scenarios))
+    }
     elapsed = time.perf_counter() - start
     return cells, elapsed
 
@@ -69,8 +67,12 @@ def daily_grid(reference_base):
     30 s horizon keep the 576 cells fast without touching the physics)."""
     base = replace(reference_base, mix=None, horizon_s=30.0, step_s=0.02)
     levels = [0.2, 0.6, 1.0]
-    cells = daily_nadir_scan(bundled_day_profile(), base, levels, MODES)
-    return {(c.clock_min, c.mode, c.participation): c.metrics for c in cells}, levels
+    scenarios = scenario_grid(base, levels, MODES, day=bundled_day_profile())
+    cells = {
+        (s.clock_min, s.controller.mode, s.controller.participation): m
+        for s, m in zip(scenarios, evaluate_scenarios(scenarios))
+    }
+    return cells, levels
 
 
 def test_criterion_1_initial_rocof_oracle():

@@ -2,12 +2,16 @@
 across runs and worker counts, exit codes, and atomic output behavior."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fleetfreq.cli import main
 from fleetfreq.simulator import bundled_day_profile, day_profile_csv_text
+
+
+REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
 
 
 def read_rows(path):
@@ -255,6 +259,24 @@ def test_sweep_roundtrip_from_header(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_sweep_workers_must_be_positive(tmp_path, capsys):
+    out, args = sweep_args(tmp_path, "sweep.csv", ["--workers", "-3"])
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "daily"])
+def test_grid_levels_sharing_a_scenario_id_rejected(tmp_path, capsys, command):
+    out = tmp_path / "grid.csv"
+    code = main([command, "--out", str(out), "--levels", "20,20.4", "--modes", "v1g"])
+    assert code == 2
+    assert "p020" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_default_grid_is_30_cells(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--out", str(out), "--step", "0.05", "--horizon", "10"]) == 0
@@ -333,3 +355,22 @@ def test_daily_roundtrip_from_header(tmp_path):
     out2 = tmp_path / "b.csv"
     assert main(["daily", "--config", str(cfg_path), "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_daily_2000_rows_match_sweep(tmp_path):
+    # At 20:00 the bundled day profile is the reference mix, so the daily
+    # cells there are the immediate-strategy sweep cells.
+    common = ["--config", str(REFERENCE_CONFIG), "--horizon", "10", "--levels", "100"]
+    daily, sweep = tmp_path / "daily.csv", tmp_path / "sweep.csv"
+    assert main(["daily", "--out", str(daily), *common]) == 0
+    assert main(["sweep", "--out", str(sweep), "--strategy", "immediate", *common]) == 0
+    header, daily_rows = read_rows(daily)
+    _, sweep_rows = read_rows(sweep)
+    clock_i = header.index("clock_min")
+    nadir_i = header.index("nadir_hz")
+    at_2000 = {
+        (r[1], r[2]): r[nadir_i:] for r in daily_rows if float(r[clock_i]) == 1200.0
+    }
+    assert len(sweep_rows) == len(at_2000) == 2
+    for r in sweep_rows:
+        assert at_2000[(r[1], r[2])] == r[nadir_i:]

@@ -24,12 +24,11 @@ from fleetfreq.simulator import (
     DayProfileRow,
     IntegrationError,
     bundled_day_profile,
-    daily_nadir_scan,
     day_profile_csv_text,
     default_scenario,
     evaluate_scenarios,
     load_day_profile_csv,
-    participation_sweep,
+    scenario_grid,
     simulate,
     synthetic_california_day,
 )
@@ -121,16 +120,19 @@ def test_v2g_nadir_beats_v1g():
 
 def test_zero_participation_modes_identical():
     base = default_scenario()
-    cells = participation_sweep(base, [0.0], [ControlMode.V1G, ControlMode.V2G])
-    assert cells[0].metrics == cells[1].metrics
+    results = evaluate_scenarios(
+        scenario_grid(base, [0.0], [ControlMode.V1G, ControlMode.V2G])
+    )
+    assert results[0] == results[1]
 
 
 def test_nadir_monotone_in_participation_and_mode():
     base = default_scenario(mix=CALIFORNIA_LOW_INERTIA_MIX, fleet=FleetConfig(n_vehicles=7000))
     levels = [0.2, 0.4, 0.6, 0.8, 1.0]
-    cells = participation_sweep(base, levels, [ControlMode.V1G, ControlMode.V2G])
-    v1g = [c.metrics.nadir_hz for c in cells if c.mode is ControlMode.V1G]
-    v2g = [c.metrics.nadir_hz for c in cells if c.mode is ControlMode.V2G]
+    scenarios = scenario_grid(base, levels, [ControlMode.V1G, ControlMode.V2G])
+    cells = list(zip(scenarios, evaluate_scenarios(scenarios)))
+    v1g = [m.nadir_hz for s, m in cells if s.controller.mode is ControlMode.V1G]
+    v2g = [m.nadir_hz for s, m in cells if s.controller.mode is ControlMode.V2G]
     assert v1g == sorted(v1g)
     assert v2g == sorted(v2g)
     for lo, hi in zip(v1g, v2g):
@@ -310,7 +312,7 @@ def fast_scan_base():
 
 def test_daily_scan_structure_and_order():
     day = bundled_day_profile()
-    cells = daily_nadir_scan(day, fast_scan_base(), [1.0], [ControlMode.V1G])
+    cells = scenario_grid(fast_scan_base(), [1.0], [ControlMode.V1G], day=day)
     assert len(cells) == 96
     assert [c.clock_min for c in cells] == [15.0 * i for i in range(96)]
 
@@ -344,8 +346,10 @@ def test_daily_scan_constant_mix_varies_only_with_fleet():
     mix = CALIFORNIA_LOW_INERTIA_MIX
     rows = tuple(DayProfileRow(15.0 * i, mix) for i in range(96))
     day = DayProfile(rows)
-    cells = daily_nadir_scan(day, fast_scan_base(), [1.0], [ControlMode.V1G])
-    by_clock = {c.clock_min: c.metrics.nadir_hz for c in cells}
+    scenarios = scenario_grid(fast_scan_base(), [1.0], [ControlMode.V1G], day=day)
+    by_clock = {
+        s.clock_min: m.nadir_hz for s, m in zip(scenarios, evaluate_scenarios(scenarios))
+    }
     # All on-shift intervals (no plugged vehicles) collapse to one value.
     on_shift = {by_clock[c] for c in by_clock if 360.0 <= c < 960.0}
     assert len(on_shift) == 1
