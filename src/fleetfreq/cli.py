@@ -123,7 +123,18 @@ def _apply_scenario_flags(cfg: dict, args) -> None:
     if getattr(args, "horizon", None) is not None:
         _apply(cfg, "event", "horizon_s", args.horizon)
     if getattr(args, "clock", None) is not None:
-        _apply(cfg, "event", "clock_min", parse_clock_min(args.clock))
+        _apply(cfg, "event", "clock_min", _clock_flag(args.clock))
+
+
+def _clock_flag(text: str) -> float:
+    """--clock: HH:MM, or a plain number of minutes since midnight."""
+    if ":" in text:
+        return parse_clock_min(text)
+    try:
+        minutes = float(text)
+    except ValueError:
+        raise ConfigError(f"bad clock {text!r}: expected HH:MM or minutes") from None
+    return parse_clock_min(minutes)
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +153,7 @@ def cmd_simulate(args) -> int:
             raise ConfigError("participation must lie in [0, 100] percent")
         _apply(cfg, "controller", "participation", args.participation / 100.0)
     scenario = scenario_from_config(cfg)
+    metrics_from_config(cfg)  # checked, though a trajectory has no metrics
     traj = simulate(scenario)
     lines = _header("simulate", scenario_to_config(scenario))
     lines.append(TRAJECTORY_COLUMNS)
@@ -205,7 +217,7 @@ def _write_grid(
             f"grid cells share scenario_id {shared[0]!r}: levels must differ by "
             "a whole percent and modes and strategies must not repeat"
         )
-    results = evaluate_scenarios(scenarios, args.workers, **metric_cfg)
+    results = evaluate_scenarios(scenarios, **metric_cfg)
     lines = _header(command, echo)
     lines.append(METRICS_COLUMNS)
     lines.extend(_metrics_row(sid, s, m) for sid, s, m in zip(ids, scenarios, results))
@@ -336,6 +348,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mix", help="generation mix CSV (source,h_seconds,power_mw)")
         p.add_argument("--clock", help="time of day, HH:MM or minutes")
 
+    def workers_flag(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--workers",
+            type=_worker_count,
+            default=1,
+            help="ignored, kept for compatibility (n >= 1): all cells run "
+            "together in one process",
+        )
+
     p = sub.add_parser("simulate", help="integrate one contingency scenario")
     common(p)
     scenario_flags(p)
@@ -350,9 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", help="comma-separated participation percents")
     p.add_argument("--modes", help="comma-separated modes (v1g,v2g)")
     p.add_argument("--strategy", help="comma-separated strategies to sweep")
-    p.add_argument(
-        "--workers", type=_worker_count, default=1, help="parallel worker processes"
-    )
+    workers_flag(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("daily", help="nadir scan over a 96-interval day profile")
@@ -362,9 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", help="comma-separated participation percents")
     p.add_argument("--modes", help="comma-separated modes (v1g,v2g)")
     p.add_argument("--day-profile", help="day profile CSV (default: bundled synthetic)")
-    p.add_argument(
-        "--workers", type=_worker_count, default=1, help="parallel worker processes"
-    )
+    workers_flag(p)
     p.set_defaults(func=cmd_daily)
 
     p = sub.add_parser("profile", help="24 h fleet charging profile")

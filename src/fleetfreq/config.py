@@ -26,11 +26,7 @@ from .grid import (
     grid_from_preset,
     load_mix_csv,
 )
-from .metrics import (
-    DEFAULT_ROCOF_WINDOW_S,
-    DEFAULT_SETTLING_BAND_HZ,
-    DEFAULT_TAIL_FRACTION,
-)
+from .metrics import MetricsConfig
 from .simulator import (
     DAY_PROFILE_HEADER,
     DayProfile,
@@ -99,15 +95,6 @@ def _section(cfg: dict, name: str) -> dict:
 
 # ---------------------------------------------------------------------------
 # section <-> object
-
-
-@dataclass(frozen=True)
-class MetricsConfig:
-    """The "metrics" section: the settings of metrics.evaluate."""
-
-    rocof_window_s: float = DEFAULT_ROCOF_WINDOW_S
-    settling_band_hz: float = DEFAULT_SETTLING_BAND_HZ
-    tail_fraction: float = DEFAULT_TAIL_FRACTION
 
 
 @dataclass(frozen=True)

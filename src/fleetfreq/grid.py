@@ -27,6 +27,8 @@ class GenerationSource:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("generation source needs a name")
+        if not (math.isfinite(self.inertia_s) and math.isfinite(self.power_mw)):
+            raise ValueError(f"{self.name}: inertia constant and power must be finite")
         if self.inertia_s < 0.0:
             raise ValueError(f"{self.name}: inertia constant must be >= 0 s")
         if self.power_mw < 0.0:

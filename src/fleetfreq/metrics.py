@@ -23,6 +23,24 @@ DEFAULT_TAIL_FRACTION = 0.05
 
 
 @dataclass(frozen=True)
+class MetricsConfig:
+    """The metric settings: the "metrics" config section and the keyword
+    arguments of evaluate and simulator.evaluate_scenarios."""
+
+    rocof_window_s: float = DEFAULT_ROCOF_WINDOW_S
+    settling_band_hz: float = DEFAULT_SETTLING_BAND_HZ
+    tail_fraction: float = DEFAULT_TAIL_FRACTION
+
+    def __post_init__(self) -> None:
+        if not self.rocof_window_s > 0.0:
+            raise ValueError("rocof_window_s must be > 0")
+        if not self.settling_band_hz > 0.0:
+            raise ValueError("settling_band_hz must be > 0")
+        if not 0.0 < self.tail_fraction <= 1.0:
+            raise ValueError("tail_fraction must lie in (0, 1]")
+
+
+@dataclass(frozen=True)
 class FrequencyMetrics:
     """The four security metrics plus the tail-mean settled frequency."""
 
@@ -42,43 +60,59 @@ def nadir(traj: Trajectory) -> tuple[float, float]:
     return float(traj.frequency_hz[i]), float(traj.times_s[i])
 
 
-def rocof(traj: Trajectory, window_s: float = DEFAULT_ROCOF_WINDOW_S) -> float:
-    """Most negative centered-difference df/dt within the post-event window.
+def rocof_window(
+    times: np.ndarray, event_time_s: float, window_s: float
+) -> tuple[int, int, float]:
+    """Sample indices i0..i1 whose centered differences rocof scans, and the
+    sample step.
 
-    Scans [event_time, event_time + window]. A non-negative result means the
-    frequency never fell inside the window.
+    The window is [event_time, event_time + window]; a centered difference
+    needs one sample on each side, so the first and last samples are never
+    centers.
     """
-    times = traj.times_s
     if len(times) < 3:
         raise ValueError("rocof needs at least three samples")
     step = float(times[1] - times[0])
     if window_s < 2.0 * step:
         raise ValueError("rocof window must span at least two steps")
-    t_start = traj.event_time_s
-    t_end = t_start + window_s
+    t_end = event_time_s + window_s
     slack = 0.5 * step
-    if t_start < times[0] - slack or t_end > times[-1] + slack:
+    if event_time_s < times[0] - slack or t_end > times[-1] + slack:
         raise ValueError("rocof window lies outside the trajectory")
-    # Centered differences need one sample on each side.
-    i0 = max(1, int(np.searchsorted(times, t_start - slack * 1e-3, side="left")))
+    i0 = max(1, int(np.searchsorted(times, event_time_s - slack * 1e-3, side="left")))
     i1 = min(
         len(times) - 2,
         int(np.searchsorted(times, t_end + slack * 1e-3, side="right")) - 1,
     )
     if i1 < i0:
         raise ValueError("rocof window contains no interior samples")
+    return i0, i1, step
+
+
+def rocof(traj: Trajectory, window_s: float = DEFAULT_ROCOF_WINDOW_S) -> float:
+    """Most negative centered-difference df/dt within the post-event window.
+
+    Scans [event_time, event_time + window]. A non-negative result means the
+    frequency never fell inside the window.
+    """
+    i0, i1, step = rocof_window(traj.times_s, traj.event_time_s, window_s)
     f = traj.frequency_hz
     slopes = (f[i0 + 1 : i1 + 2] - f[i0 - 1 : i1]) / (2.0 * step)
     return float(slopes.min())
+
+
+def tail_count(n_samples: int, tail_fraction: float = DEFAULT_TAIL_FRACTION) -> int:
+    """Number of final samples that tail_mean averages."""
+    if not 0.0 < tail_fraction <= 1.0:
+        raise ValueError("tail_fraction must lie in (0, 1]")
+    return max(1, int(round(tail_fraction * n_samples)))
 
 
 def tail_mean(traj: Trajectory, tail_fraction: float = DEFAULT_TAIL_FRACTION) -> float:
     """Mean frequency over the final fraction of samples."""
     if len(traj.frequency_hz) == 0:
         raise ValueError("tail mean undefined for an empty trajectory")
-    if not 0.0 < tail_fraction <= 1.0:
-        raise ValueError("tail_fraction must lie in (0, 1]")
-    k = max(1, int(round(tail_fraction * len(traj.frequency_hz))))
+    k = tail_count(len(traj.frequency_hz), tail_fraction)
     return float(np.mean(traj.frequency_hz[-k:]))
 
 

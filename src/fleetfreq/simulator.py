@@ -4,18 +4,18 @@ A contingency scenario is integrated with fixed-step classical RK4. The
 disturbance is a pure generation-loss step; the controller threshold check
 and command update happen once per step at the step boundary and are held
 constant within the step. Participation sweeps and the 96-interval daily
-nadir scan are both one scenario grid, evaluated cell by cell (optionally in
-a process pool) with results assembled in input-grid order.
+nadir scan are both one scenario grid, whose cells are stepped together as
+numpy arrays by the same arithmetic, with results in input-grid order.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .controller import (
 from .fleet import (
     ChargingStrategy,
     FleetConfig,
-    FleetState,
     charging_window,
     fleet_state_at,
 )
@@ -153,6 +152,94 @@ def default_scenario(**overrides) -> Scenario:
     return Scenario(**base)
 
 
+class _Cell(NamedTuple):
+    """The constants of one integration, shared by simulate and the grid
+    kernel: floats for one cell, or one array per field for a batch."""
+
+    f0: float
+    two_h: float
+    damping: float
+    inv_droop: float
+    t_gov: float
+    t_turb: float
+    t_ev: float
+    dp_pu: float
+    threshold_hz: float
+    latch_on: bool
+    soc_reserve: float
+    soc0: float
+    # Per-unit command and mean SoC rate, indexed by the gate
+    # 2 * triggered + (soc > soc_reserve).
+    commands: tuple[float, float, float, float]
+    soc_rates: tuple[float, float, float, float]
+
+
+def _cell(scenario: Scenario) -> _Cell:
+    grid = scenario.resolved_grid()
+    fleet = scenario.fleet
+    controller = scenario.controller
+    charging_window(fleet.strategy, fleet.vehicle)  # surface infeasibility early
+    fs0 = fleet_state_at(scenario.clock_min, fleet)
+    # The command depends on the state only through the latch and the SoC
+    # reserve gate, so it is tabulated per gate, still computed by the
+    # controller functions themselves. They read the SoC only against the
+    # reserve, so SoC 0 stands for "at or below" it and SoC 1 for "above" it
+    # (an entry that a reserve of 1 never selects).
+    commands, soc_rates = [], []
+    for latch in (EventLatch(), EventLatch(True, 0.0)):
+        for soc in (0.0, 1.0):
+            fs = replace(fs0, mean_soc=soc)
+            cmd_mw = ev_power_command(latch, controller, fs, fleet)
+            commands.append(cmd_mw / grid.s_base_mw)
+            soc_rates.append(soc_rate_under_command(cmd_mw, fs, fleet))
+    return _Cell(
+        f0=grid.f_nominal_hz,
+        two_h=2.0 * grid.h_eff_s,
+        damping=grid.damping_pu,
+        inv_droop=1.0 / grid.droop_pu,
+        t_gov=grid.t_governor_s,
+        t_turb=grid.t_turbine_s,
+        t_ev=grid.t_ev_s,
+        dp_pu=scenario.disturbance_mw / grid.s_base_mw,
+        threshold_hz=controller.threshold_hz,
+        latch_on=controller.latch_on,
+        soc_reserve=fleet.vehicle.soc_reserve,
+        soc0=fs0.mean_soc,
+        commands=tuple(commands),
+        soc_rates=tuple(soc_rates),
+    )
+
+
+def _rk4_step(df, pg, pm, pev, d, cmd_pu, dt, two_h, damping, inv_droop, t_gov, t_turb, t_ev):
+    """One classical RK4 step of the four grid deviation states, with the
+    disturbance and the command held over the step.
+
+    Elementwise only: simulate passes floats and the grid kernel passes one
+    array entry per cell, and each cell gets the same bits either way.
+    """
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    k1 = _rhs(df, pg, pm, pev, d, cmd_pu, two_h, damping, inv_droop, t_gov, t_turb, t_ev)
+    k2 = _rhs(
+        df + half * k1[0], pg + half * k1[1], pm + half * k1[2], pev + half * k1[3],
+        d, cmd_pu, two_h, damping, inv_droop, t_gov, t_turb, t_ev,
+    )
+    k3 = _rhs(
+        df + half * k2[0], pg + half * k2[1], pm + half * k2[2], pev + half * k2[3],
+        d, cmd_pu, two_h, damping, inv_droop, t_gov, t_turb, t_ev,
+    )
+    k4 = _rhs(
+        df + dt * k3[0], pg + dt * k3[1], pm + dt * k3[2], pev + dt * k3[3],
+        d, cmd_pu, two_h, damping, inv_droop, t_gov, t_turb, t_ev,
+    )
+    return (
+        df + sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0]),
+        pg + sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1]),
+        pm + sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2]),
+        pev + sixth * (k1[3] + 2.0 * (k2[3] + k3[3]) + k4[3]),
+    )
+
+
 def simulate(scenario: Scenario) -> Trajectory:
     """Integrate one scenario and return the sampled trajectory.
 
@@ -161,52 +248,31 @@ def simulate(scenario: Scenario) -> Trajectory:
     the scenario clock for the duration of the horizon; the mean SoC evolves
     with the realized command.
     """
-    grid = scenario.resolved_grid()
-    fleet = scenario.fleet
+    c = _cell(scenario)
     controller = scenario.controller
-    charging_window(fleet.strategy, fleet.vehicle)  # surface infeasibility early
-    fs0 = fleet_state_at(scenario.clock_min, fleet)
-
     dt = scenario.step_s
     n_steps = int(round(scenario.horizon_s / dt))
-    f0 = grid.f_nominal_hz
-    s_base = grid.s_base_mw
-    two_h = 2.0 * grid.h_eff_s
-    damping = grid.damping_pu
-    inv_droop = 1.0 / grid.droop_pu
-    t_gov = grid.t_governor_s
-    t_turb = grid.t_turbine_s
-    t_ev = grid.t_ev_s
-    dp_pu = scenario.disturbance_mw / s_base
     event_time = scenario.event_time_s
-    clock = scenario.clock_min
-    plugged = fs0.plugged_count
-    charge_kw = fs0.charging_power_kw
-    reserve = fleet.vehicle.soc_reserve
+    f0, dp_pu, reserve = c.f0, c.dp_pu, c.soc_reserve
+    commands, soc_rates = c.commands, c.soc_rates
+    two_h, damping, inv_droop = c.two_h, c.damping, c.inv_droop
+    t_gov, t_turb, t_ev = c.t_gov, c.t_turb, c.t_ev
 
-    times = np.empty(n_steps + 1)
+    times = np.arange(n_steps + 1) * dt
     freq = np.empty(n_steps + 1)
     p_mech_out = np.empty(n_steps + 1)
     p_ev_out = np.empty(n_steps + 1)
     soc_out = np.empty(n_steps + 1)
 
     df = pg = pm = pev = 0.0
-    soc = fs0.mean_soc
+    soc = c.soc0
     latch = EventLatch()
-    # The command depends on the state only through the latch and the SoC
-    # reserve gate, so command and SoC rate are cached per gate combination
-    # and still computed by the controller functions themselves.
-    cmd_cache: dict[tuple[bool, bool], tuple[float, float]] = {}
-
     isfinite = math.isfinite
-    half = 0.5 * dt
-    sixth = dt / 6.0
 
     for k in range(n_steps + 1):
         t = k * dt
         f = f0 * (1.0 + df)
         latch = detect_event(f, controller, latch, t)
-        times[k] = t
         freq[k] = f
         p_mech_out[k] = pm
         p_ev_out[k] = pev
@@ -214,41 +280,16 @@ def simulate(scenario: Scenario) -> Trajectory:
         if k == n_steps:
             break
 
-        gate = (latch.triggered, soc > reserve)
-        cached = cmd_cache.get(gate)
-        if cached is None:
-            fs = FleetState(clock, plugged, charge_kw, min(1.0, max(0.0, soc)))
-            cmd_mw = ev_power_command(latch, controller, fs, fleet)
-            rate = soc_rate_under_command(cmd_mw, fs, fleet)
-            cached = (cmd_mw / s_base, rate)
-            cmd_cache[gate] = cached
-        cmd_pu, soc_rate = cached
-        if soc >= 1.0 and soc_rate > 0.0:
-            soc_rate = 0.0
-        elif soc <= 0.0 and soc_rate < 0.0:
-            soc_rate = 0.0
+        gate = 2 * latch.triggered + (soc > reserve)
         d = dp_pu if t >= event_time else 0.0
-
-        k1 = _rhs(df, pg, pm, pev, d, cmd_pu, two_h, damping, inv_droop, t_gov, t_turb, t_ev)
-        k2 = _rhs(
-            df + half * k1[0], pg + half * k1[1], pm + half * k1[2], pev + half * k1[3],
-            d, cmd_pu, two_h, damping, inv_droop, t_gov, t_turb, t_ev,
+        df, pg, pm, pev = _rk4_step(
+            df, pg, pm, pev, d, commands[gate], dt,
+            two_h, damping, inv_droop, t_gov, t_turb, t_ev,
         )
-        k3 = _rhs(
-            df + half * k2[0], pg + half * k2[1], pm + half * k2[2], pev + half * k2[3],
-            d, cmd_pu, two_h, damping, inv_droop, t_gov, t_turb, t_ev,
-        )
-        k4 = _rhs(
-            df + dt * k3[0], pg + dt * k3[1], pm + dt * k3[2], pev + dt * k3[3],
-            d, cmd_pu, two_h, damping, inv_droop, t_gov, t_turb, t_ev,
-        )
-        df += sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-        pg += sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
-        pm += sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
-        pev += sixth * (k1[3] + 2.0 * (k2[3] + k3[3]) + k4[3])
         # Command and SoC rate are held over the step, so the SoC update is
-        # exact linear integration.
-        soc = min(1.0, max(0.0, soc + soc_rate * dt))
+        # exact linear integration; the clip stops charging at full and
+        # discharging at empty.
+        soc = min(1.0, max(0.0, soc + soc_rates[gate] * dt))
         if not (isfinite(df) and isfinite(pg) and isfinite(pm) and isfinite(pev)):
             raise IntegrationError(k + 1, t + dt)
 
@@ -267,31 +308,199 @@ def simulate(scenario: Scenario) -> Trajectory:
 # ---------------------------------------------------------------------------
 # Scenario grids
 
+# The settling scan keeps each cell's frequency range per block of samples,
+# so that only the samples up to the last block outside the band need a
+# second pass. More blocks shorten that pass but cost memory per cell: at 64
+# the 960-cell daily grid peaked 1.3 MB higher than at 16, for the same pass.
+_SETTLING_BLOCKS = 16
 
-def _simulate_metrics(task) -> metrics_mod.FrequencyMetrics:
-    scenario, rocof_window_s, settling_band_hz, tail_fraction = task
-    traj = simulate(scenario)
-    return metrics_mod.evaluate(traj, rocof_window_s, settling_band_hz, tail_fraction)
+
+def _step_cells(cells: _Cell, dt: float, event_time_s: float, n_samples: int, observe):
+    """Step a batch of cells together with the arithmetic of simulate.
+
+    Calls observe(k, f) with every cell's frequency at sample k, for k in
+    range(n_samples), and returns the deviation states at the last sample.
+    The latch is a mask: a cell is triggered below its threshold, and stays
+    so while latched on.
+    """
+    n = len(cells.f0)
+    rows = np.arange(n)
+    df = pg = pm = pev = np.zeros(n)
+    soc = cells.soc0
+    triggered = np.zeros(n, dtype=bool)
+    for k in range(n_samples):
+        t = k * dt
+        f = cells.f0 * (1.0 + df)
+        triggered = (f < cells.threshold_hz) | (triggered & cells.latch_on)
+        observe(k, f)
+        if k == n_samples - 1:
+            break
+        gate = 2 * triggered + (soc > cells.soc_reserve)
+        d = cells.dp_pu if t >= event_time_s else 0.0
+        df, pg, pm, pev = _rk4_step(
+            df, pg, pm, pev, d, cells.commands[rows, gate], dt,
+            cells.two_h, cells.damping, cells.inv_droop,
+            cells.t_gov, cells.t_turb, cells.t_ev,
+        )
+        soc = np.minimum(1.0, np.maximum(0.0, soc + cells.soc_rates[rows, gate] * dt))
+    return df, pg, pm, pev
+
+
+class _MetricStreams:
+    """What metrics.evaluate reads from a trajectory, gathered sample by
+    sample for a batch of cells without keeping their trajectories.
+
+    Built before the batch runs, so that a metric setting the time grid
+    cannot serve is rejected first.
+    """
+
+    def __init__(
+        self,
+        dt: float,
+        n_samples: int,
+        event_time_s: float,
+        n_cells: int,
+        rocof_window_s: float,
+        tail_fraction: float,
+    ):
+        self.dt, self.event_time_s = dt, event_time_s
+        self.times = times = np.arange(n_samples) * dt
+        self.f_min = np.full(n_cells, np.inf)
+        self.i_min = np.zeros(n_cells, dtype=np.int64)
+        # The highest sample after the current minimum; -inf while none.
+        self.f_max_after = np.full(n_cells, -np.inf)
+        self.i0, self.i1, step = metrics_mod.rocof_window(times, event_time_s, rocof_window_s)
+        self.two_steps = 2.0 * step
+        self.rocof = np.full(n_cells, np.inf)
+        self.prev = self.prev2 = None
+        n_tail = metrics_mod.tail_count(n_samples, tail_fraction)
+        self.tail = np.empty((n_cells, n_tail))
+        self.tail_start = n_samples - n_tail
+        self.block = -(-n_samples // _SETTLING_BLOCKS)
+        n_blocks = -(-n_samples // self.block)
+        self.block_min = np.full((n_blocks, n_cells), np.inf)
+        self.block_max = np.full((n_blocks, n_cells), -np.inf)
+
+    def __call__(self, k: int, f: np.ndarray) -> None:
+        lower = f < self.f_min
+        self.f_min = np.minimum(self.f_min, f)
+        self.i_min = np.where(lower, k, self.i_min)
+        self.f_max_after = np.where(lower, -np.inf, np.maximum(self.f_max_after, f))
+        # The centered difference about sample k - 1.
+        if self.i0 < k <= self.i1 + 1:
+            self.rocof = np.minimum(self.rocof, (f - self.prev2) / self.two_steps)
+        self.prev2, self.prev = self.prev, f
+        if k >= self.tail_start:
+            self.tail[:, k - self.tail_start] = f
+        b = k // self.block
+        np.minimum(self.block_min[b], f, out=self.block_min[b])
+        np.maximum(self.block_max[b], f, out=self.block_max[b])
+
+    def results(self, cells: _Cell, band_hz: float) -> list[metrics_mod.FrequencyMetrics]:
+        """The metrics of every cell, once all samples of `cells` were seen."""
+        times = self.times
+        f_ss = np.array([np.mean(row) for row in self.tail])
+        # The last block holding a sample outside the band, or -1. Exact,
+        # because rounding keeps f - f_ss monotone in f, so a block's extremes
+        # bound the deviation of all its samples.
+        outside = (np.abs(self.block_max - f_ss) > band_hz) | (
+            np.abs(self.block_min - f_ss) > band_hz
+        )
+        last_block = np.where(
+            outside.any(axis=0), len(outside) - 1 - np.argmax(outside[::-1], axis=0), -1
+        )
+        ends_outside = np.abs(self.tail[:, -1] - f_ss) > band_hz
+        # The settling sample of the other cells lies in that block: replay
+        # them up to its end.
+        replay = np.flatnonzero((last_block >= 0) & ~ends_outside)
+        last_outside = np.full(len(f_ss), -1)
+        if len(replay):
+            replay_f_ss = f_ss[replay]
+            replay_last = np.full(len(replay), -1)
+
+            def track(k: int, f: np.ndarray) -> None:
+                nonlocal replay_last
+                replay_last = np.where(np.abs(f - replay_f_ss) > band_hz, k, replay_last)
+
+            n_samples = min(len(times), (int(last_block[replay].max()) + 1) * self.block)
+            subset = _Cell(*(field[replay] for field in cells))
+            _step_cells(subset, self.dt, self.event_time_s, n_samples, track)
+            last_outside[replay] = replay_last
+
+        results = []
+        for c in range(len(f_ss)):
+            if last_block[c] < 0:
+                settling = float(times[0])
+            elif ends_outside[c]:
+                settling = None
+            else:
+                settling = float(times[last_outside[c] + 1])
+            f_max_after = self.f_max_after[c]
+            results.append(
+                metrics_mod.FrequencyMetrics(
+                    nadir_hz=float(self.f_min[c]),
+                    nadir_time_s=float(times[self.i_min[c]]),
+                    rocof_hz_per_s=float(self.rocof[c]),
+                    overshoot_hz=(
+                        0.0
+                        if f_max_after == -np.inf
+                        else max(0.0, float(f_max_after - f_ss[c]))
+                    ),
+                    settling_time_s=settling,
+                    f_steady_state_hz=float(f_ss[c]),
+                )
+            )
+        return results
 
 
 def evaluate_scenarios(
     scenarios: list[Scenario],
-    workers: int = 1,
+    *,
     rocof_window_s: float = metrics_mod.DEFAULT_ROCOF_WINDOW_S,
     settling_band_hz: float = metrics_mod.DEFAULT_SETTLING_BAND_HZ,
     tail_fraction: float = metrics_mod.DEFAULT_TAIL_FRACTION,
 ) -> list[metrics_mod.FrequencyMetrics]:
     """Simulate and score a list of scenarios, preserving input order.
 
-    Cells are independent; with workers > 1 they run in a process pool and
-    the results are still assembled in input order, so the output does not
-    depend on the worker count.
+    Every result equals metrics.evaluate(simulate(cell)) bit for bit. Cells
+    that share a time grid (step, horizon and event time) are stepped together
+    as arrays by the arithmetic of simulate, which is elementwise, so a
+    cell's result does not depend on the batch it runs in. All settings and
+    cells are checked before any cell runs. A divergence is reported as the
+    IntegrationError of the first diverged cell in input order.
     """
-    tasks = [(s, rocof_window_s, settling_band_hz, tail_fraction) for s in scenarios]
-    if workers <= 1 or len(tasks) <= 1:
-        return [_simulate_metrics(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_simulate_metrics, tasks))
+    metrics_mod.MetricsConfig(rocof_window_s, settling_band_hz, tail_fraction)  # checks them
+    groups: dict[tuple[float, float, float], list[int]] = {}
+    for i, s in enumerate(scenarios):
+        groups.setdefault((s.step_s, s.horizon_s, s.event_time_s), []).append(i)
+    runs = []
+    for (step_s, horizon_s, event_time_s), members in groups.items():
+        n_samples = int(round(horizon_s / step_s)) + 1
+        streams = _MetricStreams(
+            step_s, n_samples, event_time_s, len(members), rocof_window_s, tail_fraction
+        )
+        batch = _Cell(*(np.array(f) for f in zip(*(_cell(scenarios[i]) for i in members))))
+        runs.append((members, batch, streams))
+
+    results: list = [None] * len(scenarios)
+    diverged = []
+    for members, batch, streams in runs:
+        # A non-finite state stays non-finite under these updates, so one
+        # check after the last step finds every cell that simulate stops.
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = _step_cells(
+                batch, streams.dt, streams.event_time_s, len(streams.times), streams
+            )
+        finite = np.isfinite(np.array(state)).all(axis=0)
+        if not finite.all():
+            diverged.append(members[int(np.argmin(finite))])
+            continue
+        for i, m in zip(members, streams.results(batch, settling_band_hz)):
+            results[i] = m
+    if diverged:
+        simulate(scenarios[min(diverged)])  # raises its IntegrationError
+        raise RuntimeError("grid kernel diverged where simulate did not")
+    return results
 
 
 def scenario_grid(

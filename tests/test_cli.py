@@ -200,6 +200,56 @@ def test_simulate_divergence_exit_4(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_clock_accepts_plain_minutes(tmp_path):
+    minutes, hhmm = tmp_path / "minutes.csv", tmp_path / "hhmm.csv"
+    common = ["simulate", "--horizon", "10", "--participation", "100"]
+    assert main([*common, "--out", str(minutes), "--clock", "1200"]) == 0
+    assert main([*common, "--out", str(hhmm), "--clock", "20:00"]) == 0
+    assert minutes.read_bytes() == hhmm.read_bytes()
+
+
+@pytest.mark.parametrize("clock", ["1440", "-5", "nan"])
+def test_simulate_bad_clock_exit_2(tmp_path, capsys, clock):
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--out", str(out), f"--clock={clock}"]) == 2
+    assert "clock" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_checks_the_metrics_section(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"metrics": {"tail_fraction": 2}}', encoding="utf-8")
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "metrics: tail_fraction" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind", ["mix", "day_profile"])
+def test_non_finite_csv_number_exit_2_naming_the_row(tmp_path, capsys, kind, value):
+    out = tmp_path / "out.csv"
+    if kind == "mix":
+        path = tmp_path / "mix.csv"
+        path.write_text(
+            f"source,h_seconds,power_mw\ngas,{value},10000\nwind,0,10000\n",
+            encoding="utf-8",
+        )
+        args, row = ["simulate", "--out", str(out), "--mix", str(path)], "row 2"
+    else:
+        lines = day_profile_csv_text(bundled_day_profile()).splitlines()
+        cells = lines[5].split(",")
+        cells[5] = value  # wind_solar_mw of data row 5
+        lines[5] = ",".join(cells)
+        path = tmp_path / "day.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        args, row = daily_args(out, ["--day-profile", str(path)]), "data row 5"
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert path.name in err and row in err and "must be finite" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

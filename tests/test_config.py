@@ -27,6 +27,9 @@ from fleetfreq.simulator import Scenario
         ('{"event": {"clock_min": [1200]}}', "event.clock_min"),
         ('{"mix": [{"source": "gas", "h_seconds": NaN, "power_mw": 1}]}', "mix[1].h_seconds"),
         ('{"metrics": {"tail_fraction": "0.05"}}', "metrics.tail_fraction"),
+        ('{"metrics": {"tail_fraction": 2}}', "metrics: tail_fraction"),
+        ('{"metrics": {"settling_band_hz": 0}}', "metrics: settling_band_hz"),
+        ('{"metrics": {"rocof_window_s": -0.5}}', "metrics: rocof_window_s"),
         ('{"sweep": {"levels": "0.2"}}', "sweep.levels"),
         ('{"sweep": {"modes": "v1g"}}', "sweep.modes"),
         ('{"sweep": {"strategies": ["immediate", "overnight"]}}', "sweep.strategies[1]"),

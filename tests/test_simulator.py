@@ -1,11 +1,14 @@
 """Simulation engine: closed-form oracles, determinism, refinement behavior,
-controller coupling, and the day-profile machinery."""
+controller coupling, grid evaluation against simulate, and the day-profile
+machinery."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fleetfreq.config import load_config_file, scenario_from_config
 from fleetfreq.controller import ControlMode, ControllerConfig
 from fleetfreq.fleet import (
     ChargingStrategy,
@@ -33,6 +36,7 @@ from fleetfreq.simulator import (
     synthetic_california_day,
 )
 
+REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
 ROCOF_ORACLE_REPORTED = -0.4254916792738275  # -loss_pu * 60 / (2 * 6.4)
 F_SS_ORACLE = 59.74065269072833  # 60 - 60 * loss_pu / (D + 1/R)
 
@@ -240,19 +244,122 @@ def test_scenario_validation():
 
 
 # ---------------------------------------------------------------------------
-# parallel evaluation
+# grid evaluation: every cell stepped together, checked against simulate
 
 
-def test_worker_count_does_not_change_results():
+def test_batch_size_does_not_change_results():
     base = default_scenario(horizon_s=10.0, step_s=0.02)
     scenarios = [
         with_controller(base, mode=mode, participation=level)
         for mode in ControlMode
         for level in (0.5, 1.0)
     ]
-    serial = evaluate_scenarios(scenarios, workers=1)
-    parallel = evaluate_scenarios(scenarios, workers=2)
-    assert serial == parallel
+    serial = [m for s in scenarios for m in evaluate_scenarios([s])]
+    batched = evaluate_scenarios(scenarios)
+    assert serial == batched
+
+
+def evaluate_in_batches(cells, size, **metric_cfg):
+    return [
+        m
+        for i in range(0, len(cells), size)
+        for m in evaluate_scenarios(cells[i : i + size], **metric_cfg)
+    ]
+
+
+def reference_sweep_cells():
+    # The reference sweep grid at a coarser step and a shorter horizon, so
+    # that evaluating it one cell at a time stays quick.
+    cfg = load_config_file(REFERENCE_CONFIG)
+    cfg["event"].update(step_s=0.02, horizon_s=10.0)
+    return scenario_grid(
+        scenario_from_config(cfg), [0.2, 0.4, 0.6, 0.8, 1.0], list(ControlMode),
+        list(ChargingStrategy),
+    )
+
+
+def daily_cells():
+    base = default_scenario(horizon_s=10.0, step_s=0.1)
+    return scenario_grid(base, [1.0], [ControlMode.V2G], day=bundled_day_profile())
+
+
+def latch_release_cells():
+    base = default_scenario(horizon_s=10.0, step_s=0.02)
+    base = with_controller(base, latch_on=False)
+    cells = scenario_grid(base, [0.5, 1.0], list(ControlMode))
+    # The frequency must cross back over the threshold, releasing the latch.
+    f = simulate(cells[-1]).frequency_hz
+    below = f < base.controller.threshold_hz
+    assert np.any(below[:-1] & ~below[1:])
+    return cells
+
+
+def reserve_crossing_cells():
+    vehicle = VehicleClass(
+        battery_kwh=50.0, soc_return=0.31, soc_reserve=0.3, charger_kw=100.0
+    )
+    fleet = FleetConfig(n_vehicles=15000, vehicle=vehicle, strategy=ChargingStrategy.DELAYED)
+    base = default_scenario(fleet=fleet, horizon_s=30.0, step_s=0.05)
+    cells = scenario_grid(base, [0.5, 1.0], [ControlMode.V2G])
+    soc = simulate(cells[-1]).mean_soc
+    assert soc[0] > vehicle.soc_reserve >= soc[-1]
+    return cells
+
+
+MIXED_METRICS = {"tail_fraction": 0.5, "settling_band_hz": 0.01}
+
+
+def mixed_cells():
+    # A cell that never settles, a zero-disturbance cell that never leaves
+    # the band, and two time grids interleaved in one list.
+    short = default_scenario(horizon_s=2.0)
+    cells = [
+        short,
+        default_scenario(disturbance_mw=0.0, horizon_s=5.0, step_s=0.05),
+        with_controller(short, participation=1.0, mode=ControlMode.V2G),
+        default_scenario(horizon_s=5.0, step_s=0.05),
+        replace(short, disturbance_mw=0.0),
+    ]
+    never, at_once = (evaluate(simulate(c), **MIXED_METRICS) for c in cells[:2])
+    assert never.settling_time_s is None and at_once.settling_time_s == 0.0
+    return cells
+
+
+ORACLE_GRIDS = {
+    "reference_sweep": (reference_sweep_cells, {}),
+    "daily": (daily_cells, {}),
+    "latch_release": (latch_release_cells, {}),
+    "reserve_crossing": (reserve_crossing_cells, {}),
+    "mixed": (mixed_cells, MIXED_METRICS),
+}
+
+
+@pytest.mark.parametrize("grid", list(ORACLE_GRIDS))
+def test_grid_evaluation_equals_simulate_at_any_batch_size(grid):
+    make_cells, metric_cfg = ORACLE_GRIDS[grid]
+    cells = make_cells()
+    expected = [evaluate(simulate(c), **metric_cfg) for c in cells]
+    for size in (1, 7, len(cells)):
+        assert evaluate_in_batches(cells, size, **metric_cfg) == expected
+
+
+def test_grid_divergence_raises_the_first_diverged_cells_error():
+    fine = default_scenario(horizon_s=10.0)
+    flat = default_scenario(disturbance_mw=0.0, step_s=1.0, horizon_s=600.0)
+    late = default_scenario(step_s=0.6, horizon_s=600.0)
+    early = default_scenario(step_s=1.0, horizon_s=600.0)
+    # The step 1.0 group runs first, but the step 0.6 cell comes first in
+    # the list, so its error is the one reported.
+    cells = [flat, fine, late, early]
+    with pytest.raises(IntegrationError) as cell_err:
+        simulate(late)
+    with pytest.raises(IntegrationError) as grid_err:
+        evaluate_scenarios(cells, rocof_window_s=2.0)
+    assert str(grid_err.value) == str(cell_err.value)
+    assert (grid_err.value.step_index, grid_err.value.time_s) == (
+        cell_err.value.step_index,
+        cell_err.value.time_s,
+    )
 
 
 # ---------------------------------------------------------------------------
