@@ -11,9 +11,8 @@ __version__ = "0.1.0"
 from .controller import (
     ControlMode,
     ControllerConfig,
-    EventLatch,
-    detect_event,
     ev_power_command,
+    latched,
     soc_rate_under_command,
 )
 from .fleet import (
@@ -23,28 +22,23 @@ from .fleet import (
     FleetState,
     InfeasibleChargingWindow,
     VehicleClass,
-    aggregate_profile,
     charging_power_at,
+    charging_profile,
     charging_window,
     fleet_state_at,
     soc_at,
-    soc_trajectory,
 )
 from .grid import (
     CALIFORNIA_LOW_INERTIA_MIX,
     GenerationMix,
     GenerationSource,
     GridParameters,
-    GridState,
-    GridStateDerivative,
     INERTIA_PRESETS,
     effective_inertia,
     grid_from_mix,
     grid_from_preset,
     load_mix_csv,
     steady_state_deviation,
-    swing_derivative,
-    to_per_unit,
 )
 from .metrics import (
     FrequencyMetrics,

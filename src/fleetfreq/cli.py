@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .config import (
     ConfigError,
-    DEFAULT_PROFILE_STEP_MIN,
+    ProfileSettings,
     ScenarioAxes,
     canonical_json,
     check_sections,
@@ -39,17 +39,9 @@ from .config import (
     scenario_from_config,
     scenario_to_config,
     to_section,
-    _number,
     _section,
-    _take,
 )
-from .fleet import (
-    FleetConfig,
-    InfeasibleChargingWindow,
-    _day_clocks,
-    charging_power_at,
-    soc_at,
-)
+from .fleet import FleetConfig, InfeasibleChargingWindow, charging_profile
 from .grid import CALIFORNIA_LOW_INERTIA_MIX
 from .metrics import FrequencyMetrics
 from .simulator import (
@@ -208,7 +200,8 @@ def _write_grid(
 
     Every row needs its own scenario_id, so a grid whose cells share one
     (levels closer than a whole percent, a repeated mode or strategy) is
-    rejected before any cell runs.
+    rejected before any cell runs. A divergence names the first diverged
+    cell's scenario_id.
     """
     ids = [_scenario_id(s, with_clock=command == "daily") for s in scenarios]
     shared = [sid for sid, n in Counter(ids).items() if n > 1]
@@ -217,7 +210,11 @@ def _write_grid(
             f"grid cells share scenario_id {shared[0]!r}: levels must differ by "
             "a whole percent and modes and strategies must not repeat"
         )
-    results = evaluate_scenarios(scenarios, **metric_cfg)
+    try:
+        results = evaluate_scenarios(scenarios, **metric_cfg)
+    except IntegrationError as exc:
+        exc.args = (f"{ids[exc.cell]}: {exc}",)
+        raise
     lines = _header(command, echo)
     lines.append(METRICS_COLUMNS)
     lines.extend(_metrics_row(sid, s, m) for sid, s, m in zip(ids, scenarios, results))
@@ -285,27 +282,13 @@ def cmd_profile(args) -> int:
     if args.step_min is not None:
         _apply(cfg, "profile", "step_min", args.step_min)
     fleet = from_section(_section(cfg, "fleet"), FleetConfig(), "fleet")
-    profile_cfg = _take(
-        _section(cfg, "profile"), {"step_min": DEFAULT_PROFILE_STEP_MIN}, "profile"
-    )
-    step_min = _number(profile_cfg["step_min"], "profile.step_min")
-    clocks = _day_clocks(step_min)
+    profile = from_section(_section(cfg, "profile"), ProfileSettings(), "profile")
+    clocks, *columns = charging_profile(fleet, profile.step_min)
 
-    echo = {"fleet": to_section(fleet), "profile": {"step_min": step_min}}
+    echo = {"fleet": to_section(fleet), "profile": to_section(profile)}
     lines = _header("profile", echo)
     lines.append(PROFILE_COLUMNS)
-    for clock in clocks:
-        per_vehicle = charging_power_at(clock, fleet.strategy, fleet.vehicle)
-        lines.append(
-            ",".join(
-                (
-                    _fmt(clock),
-                    _fmt(per_vehicle),
-                    _fmt(fleet.n_vehicles * per_vehicle / 1000.0),
-                    _fmt(soc_at(clock, fleet.strategy, fleet.vehicle)),
-                )
-            )
-        )
+    lines.extend(",".join(map(_fmt, row)) for row in zip(clocks, *columns))
     write_atomic(args.out, "\n".join(lines) + "\n")
     print(f"wrote {args.out} ({len(clocks)} samples)", file=sys.stderr)
     return 0

@@ -36,8 +36,6 @@ from .simulator import (
     load_day_profile_csv,
 )
 
-DEFAULT_PROFILE_STEP_MIN = 15.0
-
 # Scenario fields read from and echoed to the "event" section; the other
 # Scenario fields have sections of their own.
 EVENT_KEYS = ("disturbance_mw", "event_time_s", "clock_min", "horizon_s", "step_s")
@@ -110,6 +108,13 @@ class ScenarioAxes:
     strategies: list[ChargingStrategy] = field(
         default_factory=lambda: list(ChargingStrategy)
     )
+
+
+@dataclass(frozen=True)
+class ProfileSettings:
+    """The "profile" section: the sample spacing of the 24 h profile."""
+
+    step_min: float = 15.0
 
 
 def _number(value, where: str) -> float:

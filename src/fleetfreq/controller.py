@@ -38,41 +38,20 @@ class ControllerConfig:
             raise ValueError("threshold_hz must be > 0")
 
 
-@dataclass(frozen=True)
-class EventLatch:
-    """One-shot under-frequency event record."""
+def latched(f, threshold_hz, triggered, latch_on):
+    """The under-frequency latch after a new frequency measurement.
 
-    triggered: bool = False
-    trigger_time_s: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.triggered != (self.trigger_time_s is not None):
-            raise ValueError("trigger_time_s must be present iff triggered")
-
-
-def detect_event(
-    frequency_hz: float,
-    config: ControllerConfig,
-    latch: EventLatch,
-    now_s: float,
-) -> EventLatch:
-    """Advance the event latch with a new frequency measurement.
-
-    With the default latch-on policy a trigger is one-shot: once set it holds
-    regardless of recovery. With latch_on=False the latch releases as soon as
-    frequency returns to or above the threshold.
+    Triggered while the frequency is below the threshold; with latch_on (the
+    default) a trigger then holds regardless of recovery, without it the
+    latch releases once frequency returns to or above the threshold.
+    Elementwise: simulate passes floats and bools, the grid kernel one array
+    entry per cell.
     """
-    if latch.triggered:
-        if config.latch_on or frequency_hz < config.threshold_hz:
-            return latch
-        return EventLatch()
-    if frequency_hz < config.threshold_hz:
-        return EventLatch(True, now_s)
-    return latch
+    return (f < threshold_hz) | (triggered & latch_on)
 
 
 def ev_power_command(
-    latch: EventLatch,
+    triggered: bool,
     config: ControllerConfig,
     fleet_state: FleetState,
     fleet: FleetConfig,
@@ -84,7 +63,7 @@ def ev_power_command(
     except that the injection component is zeroed once mean SoC has fallen to
     the mobility reserve.
     """
-    if not latch.triggered or fleet_state.plugged_count == 0:
+    if not triggered or fleet_state.plugged_count == 0:
         return 0.0
     share = config.participation * fleet_state.plugged_count / 1000.0
     shed_mw = share * fleet_state.charging_power_kw

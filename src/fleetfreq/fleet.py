@@ -34,8 +34,6 @@ class VehicleClass:
     Vehicles leave on shift fully charged and return at soc_return. The
     recharge energy battery_kwh * (1 - soc_return) must be deliverable at
     charger_kw within the depot dwell between shift_end and shift_start.
-    charging_efficiency is reserved for future loss modelling and is not
-    applied yet.
     """
 
     battery_kwh: float = 875.0
@@ -45,7 +43,6 @@ class VehicleClass:
     soc_reserve: float = 0.3
     shift_start_min: float = 360.0
     shift_end_min: float = 960.0
-    charging_efficiency: float = 1.0
 
     def __post_init__(self) -> None:
         if self.battery_kwh <= 0.0:
@@ -63,8 +60,6 @@ class VehicleClass:
                 raise ValueError(f"{field} must lie in [0, 1440)")
         if self.shift_start_min == self.shift_end_min:
             raise ValueError("shift_start_min and shift_end_min must differ")
-        if not 0.0 < self.charging_efficiency <= 1.0:
-            raise ValueError("charging_efficiency must lie in (0, 1]")
 
     @property
     def energy_need_kwh(self) -> float:
@@ -201,29 +196,6 @@ def soc_at(clock_min: float, strategy: ChargingStrategy, vehicle: VehicleClass) 
     return 1.0 - (1.0 - vehicle.soc_return) * elapsed / vehicle.shift_min
 
 
-def soc_trajectory(
-    strategy: ChargingStrategy, vehicle: VehicleClass, step_min: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled 24 h SoC series at step_min spacing, clocks in [0, 1440)."""
-    clocks = _day_clocks(step_min)
-    soc = np.array([soc_at(c, strategy, vehicle) for c in clocks])
-    return clocks, soc
-
-
-def aggregate_profile(
-    fleet: FleetConfig, step_min: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fleet-aggregate charging load in MW over 24 h at step_min spacing."""
-    clocks = _day_clocks(step_min)
-    mw = np.array(
-        [
-            fleet.n_vehicles * charging_power_at(c, fleet.strategy, fleet.vehicle) / 1000.0
-            for c in clocks
-        ]
-    )
-    return clocks, mw
-
-
 def fleet_state_at(clock_min: float, fleet: FleetConfig) -> FleetState:
     """Plugged count, per-vehicle charging power, and mean SoC at a clock time.
 
@@ -238,10 +210,19 @@ def fleet_state_at(clock_min: float, fleet: FleetConfig) -> FleetState:
     return FleetState(clock_min, plugged, power, soc)
 
 
-def _day_clocks(step_min: float) -> np.ndarray:
+def charging_profile(
+    fleet: FleetConfig, step_min: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The 24 h profile at step_min spacing: clocks in [0, 1440), per-vehicle
+    charging power in kW, fleet-aggregate load in MW, and per-vehicle SoC."""
     if step_min <= 0.0:
         raise ValueError("step_min must be > 0")
     n = MINUTES_PER_DAY / step_min
     if abs(n - round(n)) > 1e-9:
         raise ValueError("step_min must divide 24 h")
-    return np.arange(int(round(n))) * step_min
+    clocks = np.arange(int(round(n))) * step_min
+    per_vehicle = np.array(
+        [charging_power_at(c, fleet.strategy, fleet.vehicle) for c in clocks]
+    )
+    soc = np.array([soc_at(c, fleet.strategy, fleet.vehicle) for c in clocks])
+    return clocks, per_vehicle, fleet.n_vehicles * per_vehicle / 1000.0, soc

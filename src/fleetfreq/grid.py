@@ -169,36 +169,6 @@ def grid_from_mix(mix: GenerationMix, base: GridParameters | None = None) -> Gri
     return replace(base, h_eff_s=effective_inertia(mix), s_base_mw=mix.total_power_mw)
 
 
-@dataclass(frozen=True)
-class GridState:
-    """Deviation state of the aggregated grid plus the fleet mean SoC."""
-
-    delta_f_pu: float = 0.0
-    p_gov_pu: float = 0.0
-    p_mech_pu: float = 0.0
-    p_ev_pu: float = 0.0
-    mean_soc: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.delta_f_pu):
-            raise ValueError("delta_f_pu must be finite")
-        if not 0.0 <= self.mean_soc <= 1.0:
-            raise ValueError("mean_soc must lie in [0, 1]")
-
-    def frequency_hz(self, f_nominal_hz: float = 60.0) -> float:
-        return f_nominal_hz * (1.0 + self.delta_f_pu)
-
-
-@dataclass(frozen=True)
-class GridStateDerivative:
-    """Time derivatives of the four grid deviation states, per second."""
-
-    d_delta_f: float
-    d_p_gov: float
-    d_p_mech: float
-    d_p_ev: float
-
-
 def _rhs(
     delta_f: float,
     p_gov: float,
@@ -213,6 +183,12 @@ def _rhs(
     t_turb: float,
     t_ev: float,
 ) -> tuple[float, float, float, float]:
+    """Time derivatives of the four grid deviation states, per second.
+
+    Positive disturbance means lost generation; positive command means grid
+    support (shed load and/or injection). The mean SoC derivative is owned
+    by the fleet coupling in the simulator. Elementwise, like _rk4_step.
+    """
     # Swing: 2H d(df)/dt = p_mech + p_ev - disturbance - D*df
     # Governor: TG d(pg)/dt = -df/R - pg
     # Turbine: TT d(pm)/dt = pg - pm
@@ -223,40 +199,6 @@ def _rhs(
         (p_gov - p_mech) / t_turb,
         (ev_command_pu - p_ev) / t_ev,
     )
-
-
-def swing_derivative(
-    state: GridState,
-    disturbance_pu: float,
-    ev_command_pu: float,
-    params: GridParameters,
-) -> GridStateDerivative:
-    """Right-hand side of the frequency dynamics at the given state.
-
-    Positive disturbance means lost generation; positive command means grid
-    support (shed load and/or injection). The mean SoC derivative is owned by
-    the fleet coupling in the simulator, not by this function.
-    """
-    d = _rhs(
-        state.delta_f_pu,
-        state.p_gov_pu,
-        state.p_mech_pu,
-        state.p_ev_pu,
-        disturbance_pu,
-        ev_command_pu,
-        2.0 * params.h_eff_s,
-        params.damping_pu,
-        1.0 / params.droop_pu,
-        params.t_governor_s,
-        params.t_turbine_s,
-        params.t_ev_s,
-    )
-    return GridStateDerivative(*d)
-
-
-def to_per_unit(power_mw: float, params: GridParameters) -> float:
-    """Convert MW to per-unit on the grid power base."""
-    return power_mw / params.s_base_mw
 
 
 def steady_state_deviation(net_disturbance_pu: float, params: GridParameters) -> float:

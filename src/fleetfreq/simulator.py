@@ -22,9 +22,8 @@ import numpy as np
 from .controller import (
     ControlMode,
     ControllerConfig,
-    EventLatch,
-    detect_event,
     ev_power_command,
+    latched,
     soc_rate_under_command,
 )
 from .fleet import (
@@ -70,15 +69,19 @@ BUNDLED_DAY_PROFILE = "california_day_synthetic.csv"
 
 
 class IntegrationError(RuntimeError):
-    """The integrator produced a non-finite state."""
+    """The integrator produced a non-finite state.
 
-    def __init__(self, step_index: int, time_s: float):
+    From evaluate_scenarios, cell is the index of the diverged scenario.
+    """
+
+    def __init__(self, step_index: int, time_s: float, cell: int | None = None):
         super().__init__(
             f"non-finite state at step {step_index} (t = {time_s:.4f} s); "
             "check parameters for stiffness or bad magnitudes"
         )
         self.step_index = step_index
         self.time_s = time_s
+        self.cell = cell
 
 
 @dataclass(frozen=True)
@@ -132,7 +135,6 @@ class Trajectory:
     p_ev_pu: np.ndarray
     mean_soc: np.ndarray
     latch_time_s: float | None
-    f_nominal_hz: float = 60.0
     event_time_s: float = 0.0
 
     def __len__(self) -> int:
@@ -186,10 +188,10 @@ def _cell(scenario: Scenario) -> _Cell:
     # reserve, so SoC 0 stands for "at or below" it and SoC 1 for "above" it
     # (an entry that a reserve of 1 never selects).
     commands, soc_rates = [], []
-    for latch in (EventLatch(), EventLatch(True, 0.0)):
+    for triggered in (False, True):
         for soc in (0.0, 1.0):
             fs = replace(fs0, mean_soc=soc)
-            cmd_mw = ev_power_command(latch, controller, fs, fleet)
+            cmd_mw = ev_power_command(triggered, controller, fs, fleet)
             commands.append(cmd_mw / grid.s_base_mw)
             soc_rates.append(soc_rate_under_command(cmd_mw, fs, fleet))
     return _Cell(
@@ -249,11 +251,11 @@ def simulate(scenario: Scenario) -> Trajectory:
     with the realized command.
     """
     c = _cell(scenario)
-    controller = scenario.controller
     dt = scenario.step_s
     n_steps = int(round(scenario.horizon_s / dt))
     event_time = scenario.event_time_s
     f0, dp_pu, reserve = c.f0, c.dp_pu, c.soc_reserve
+    threshold_hz, latch_on = c.threshold_hz, c.latch_on
     commands, soc_rates = c.commands, c.soc_rates
     two_h, damping, inv_droop = c.two_h, c.damping, c.inv_droop
     t_gov, t_turb, t_ev = c.t_gov, c.t_turb, c.t_ev
@@ -266,13 +268,16 @@ def simulate(scenario: Scenario) -> Trajectory:
 
     df = pg = pm = pev = 0.0
     soc = c.soc0
-    latch = EventLatch()
+    triggered = False
+    latch_time = None
     isfinite = math.isfinite
 
     for k in range(n_steps + 1):
         t = k * dt
         f = f0 * (1.0 + df)
-        latch = detect_event(f, controller, latch, t)
+        if latched(f, threshold_hz, triggered, latch_on) != triggered:
+            triggered = not triggered
+            latch_time = t if triggered else None
         freq[k] = f
         p_mech_out[k] = pm
         p_ev_out[k] = pev
@@ -280,7 +285,7 @@ def simulate(scenario: Scenario) -> Trajectory:
         if k == n_steps:
             break
 
-        gate = 2 * latch.triggered + (soc > reserve)
+        gate = 2 * triggered + (soc > reserve)
         d = dp_pu if t >= event_time else 0.0
         df, pg, pm, pev = _rk4_step(
             df, pg, pm, pev, d, commands[gate], dt,
@@ -299,8 +304,7 @@ def simulate(scenario: Scenario) -> Trajectory:
         p_mech_pu=p_mech_out,
         p_ev_pu=p_ev_out,
         mean_soc=soc_out,
-        latch_time_s=latch.trigger_time_s,
-        f_nominal_hz=f0,
+        latch_time_s=latch_time,
         event_time_s=event_time,
     )
 
@@ -320,8 +324,7 @@ def _step_cells(cells: _Cell, dt: float, event_time_s: float, n_samples: int, ob
 
     Calls observe(k, f) with every cell's frequency at sample k, for k in
     range(n_samples), and returns the deviation states at the last sample.
-    The latch is a mask: a cell is triggered below its threshold, and stays
-    so while latched on.
+    The latch is a mask, advanced by the rule simulate uses.
     """
     n = len(cells.f0)
     rows = np.arange(n)
@@ -331,7 +334,7 @@ def _step_cells(cells: _Cell, dt: float, event_time_s: float, n_samples: int, ob
     for k in range(n_samples):
         t = k * dt
         f = cells.f0 * (1.0 + df)
-        triggered = (f < cells.threshold_hz) | (triggered & cells.latch_on)
+        triggered = latched(f, cells.threshold_hz, triggered, cells.latch_on)
         observe(k, f)
         if k == n_samples - 1:
             break
@@ -467,7 +470,8 @@ def evaluate_scenarios(
     as arrays by the arithmetic of simulate, which is elementwise, so a
     cell's result does not depend on the batch it runs in. All settings and
     cells are checked before any cell runs. A divergence is reported as the
-    IntegrationError of the first diverged cell in input order.
+    IntegrationError of the first diverged cell in input order, with its
+    index as the error's cell.
     """
     metrics_mod.MetricsConfig(rocof_window_s, settling_band_hz, tail_fraction)  # checks them
     groups: dict[tuple[float, float, float], list[int]] = {}
@@ -498,7 +502,11 @@ def evaluate_scenarios(
         for i, m in zip(members, streams.results(batch, settling_band_hz)):
             results[i] = m
     if diverged:
-        simulate(scenarios[min(diverged)])  # raises its IntegrationError
+        first = min(diverged)
+        try:
+            simulate(scenarios[first])
+        except IntegrationError as exc:
+            raise IntegrationError(exc.step_index, exc.time_s, first) from None
         raise RuntimeError("grid kernel diverged where simulate did not")
     return results
 
@@ -576,10 +584,6 @@ class DayProfile:
                     f"day profile row {i + 1}: expected clock_min {expected:g}, "
                     f"got {row.clock_min:g}"
                 )
-
-    def row_at(self, clock_min: float) -> DayProfileRow:
-        i = int(clock_min // 15.0)
-        return self.rows[i]
 
 
 def _mix_from_day_values(values: dict[str, float]) -> GenerationMix:

@@ -327,6 +327,28 @@ def test_grid_levels_sharing_a_scenario_id_rejected(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, first_id",
+    [("sweep", "immediate-v1g-p020"), ("daily", "immediate-v1g-p020-m0000")],
+)
+def test_grid_divergence_exit_4_names_the_cell(tmp_path, capsys, command, first_id):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "event": {"step_s": 1.0, "horizon_s": 600.0},
+                "metrics": {"rocof_window_s": 2.0},
+            }
+        ),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert f"integration failed: {first_id}: non-finite state at step" in err
+    assert not out.exists()
+
+
 def test_sweep_default_grid_is_30_cells(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--out", str(out), "--step", "0.05", "--horizon", "10"]) == 0

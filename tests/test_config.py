@@ -72,7 +72,6 @@ def scenarios(draw):
         soc_reserve=draw(_floats(0.0, 1.0)),
         shift_start_min=float(shift_start),
         shift_end_min=float(shift_end),
-        charging_efficiency=draw(_floats(0.01, 1.0)),
     )
     fleet = FleetConfig(
         n_vehicles=draw(st.integers(0, 100_000)),

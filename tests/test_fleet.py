@@ -11,12 +11,11 @@ from fleetfreq.fleet import (
     FleetState,
     InfeasibleChargingWindow,
     VehicleClass,
-    aggregate_profile,
     charging_power_at,
+    charging_profile,
     charging_window,
     fleet_state_at,
     soc_at,
-    soc_trajectory,
 )
 
 ALL_STRATEGIES = list(ChargingStrategy)
@@ -120,7 +119,8 @@ def test_soc_delayed_holds_return_level():
 def test_soc_trajectory_shape_and_bounds():
     v = VehicleClass()
     for strategy in ALL_STRATEGIES:
-        clocks, soc = soc_trajectory(strategy, v, 1.0)
+        fleet = FleetConfig(vehicle=v, strategy=strategy)
+        clocks, _, _, soc = charging_profile(fleet, 1.0)
         assert len(clocks) == 1440
         assert np.all(soc >= 0.0) and np.all(soc <= 1.0)
         # Continuity: no jump can exceed one minute at the fastest rate.
@@ -136,7 +136,7 @@ def test_soc_trajectory_shape_and_bounds():
 
 def test_soc_trajectory_step_must_divide_day():
     with pytest.raises(ValueError):
-        soc_trajectory(ChargingStrategy.IMMEDIATE, VehicleClass(), 7.0)
+        charging_profile(FleetConfig(), 7.0)
 
 
 # ---------------------------------------------------------------------------
@@ -195,19 +195,19 @@ def test_soc_full_at_shift_start_property(vehicle):
 
 
 def test_aggregate_profile_empty_fleet():
-    _, mw = aggregate_profile(FleetConfig(n_vehicles=0), 15.0)
+    _, _, mw, _ = charging_profile(FleetConfig(n_vehicles=0), 15.0)
     assert np.all(mw == 0.0)
 
 
 def test_aggregate_profile_evening_peak():
-    clocks, mw = aggregate_profile(FleetConfig(n_vehicles=15000), 15.0)
+    clocks, _, mw, _ = charging_profile(FleetConfig(n_vehicles=15000), 15.0)
     i = int(np.where(clocks == minutes("20:00"))[0][0])
     assert mw[i] == pytest.approx(1500.0)
 
 
 def test_aggregate_profile_linear_in_fleet_size():
-    _, mw1 = aggregate_profile(FleetConfig(n_vehicles=3000), 15.0)
-    _, mw2 = aggregate_profile(FleetConfig(n_vehicles=6000), 15.0)
+    _, _, mw1, _ = charging_profile(FleetConfig(n_vehicles=3000), 15.0)
+    _, _, mw2, _ = charging_profile(FleetConfig(n_vehicles=6000), 15.0)
     assert np.allclose(mw2, 2.0 * mw1)
 
 
@@ -215,7 +215,7 @@ def test_aggregate_daily_energy_identity():
     step = 15.0
     for strategy in ALL_STRATEGIES:
         fleet = FleetConfig(n_vehicles=15000, strategy=strategy)
-        _, mw = aggregate_profile(fleet, step)
+        _, _, mw, _ = charging_profile(fleet, step)
         energy_mwh = float(np.sum(mw) * step / 60.0)
         assert energy_mwh == pytest.approx(15000 * 0.7, rel=1e-9)
 
@@ -256,8 +256,6 @@ def test_vehicle_validation():
         VehicleClass(soc_return=1.2)
     with pytest.raises(ValueError):
         VehicleClass(shift_start_min=360.0, shift_end_min=360.0)
-    with pytest.raises(ValueError):
-        VehicleClass(charging_efficiency=0.0)
 
 
 def test_fleet_config_validation():

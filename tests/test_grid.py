@@ -2,8 +2,6 @@
 closed-form steady state, checked against hand-computed values and algebraic
 properties."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -13,16 +11,15 @@ from fleetfreq.grid import (
     GenerationMix,
     GenerationSource,
     GridParameters,
-    GridState,
     INERTIA_PRESETS,
     effective_inertia,
     grid_from_mix,
     grid_from_preset,
     load_mix_csv,
     steady_state_deviation,
-    swing_derivative,
-    to_per_unit,
+    _rhs,
 )
+from fleetfreq.simulator import _cell, default_scenario
 
 # Hand-computed from the bundled California rows:
 # sum(H_i * P_i) = 2.6*1166 + 4.9*12996 + 4.1*1147 + 3.6*88 + 2.4*3115
@@ -35,6 +32,18 @@ def default_params(**overrides):
     base = dict(h_eff_s=6.4, s_base_mw=19830.0)
     base.update(overrides)
     return GridParameters(**base)
+
+
+REST = (0.0, 0.0, 0.0, 0.0)  # the four deviation states at equilibrium
+
+
+def rhs(state, disturbance_pu, command_pu, params):
+    """The dynamics RHS at a (df, p_gov, p_mech, p_ev) state, as simulate
+    parameterizes it."""
+    return _rhs(
+        *state, disturbance_pu, command_pu, 2.0 * params.h_eff_s, params.damping_pu,
+        1.0 / params.droop_pu, params.t_governor_s, params.t_turbine_s, params.t_ev_s,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +111,13 @@ def test_effective_inertia_within_source_bounds(mix):
 
 
 def test_to_per_unit():
+    # Powers enter the dynamics divided by s_base_mw.
     params = default_params()
-    assert to_per_unit(0.0, params) == 0.0
-    assert to_per_unit(19830.0, params) == 1.0
-    assert to_per_unit(1800.0, params) == pytest.approx(LOSS_PU, rel=1e-12)
-    assert to_per_unit(1800.0, params) == pytest.approx(0.09077, abs=1e-5)
+    assert 19830.0 / params.s_base_mw == 1.0
+    dp_pu = _cell(default_scenario(grid=params)).dp_pu
+    assert dp_pu == 1800.0 / params.s_base_mw
+    assert dp_pu == pytest.approx(LOSS_PU, rel=1e-12)
+    assert dp_pu == pytest.approx(0.09077, abs=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -114,31 +125,28 @@ def test_to_per_unit():
 
 
 def test_swing_derivative_equilibrium_fixed_point():
-    d = swing_derivative(GridState(), 0.0, 0.0, default_params())
-    assert (d.d_delta_f, d.d_p_gov, d.d_p_mech, d.d_p_ev) == (0.0, 0.0, 0.0, 0.0)
+    assert rhs(REST, 0.0, 0.0, default_params()) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_swing_derivative_initial_rocof_reported_preset():
-    d = swing_derivative(GridState(), LOSS_PU, 0.0, default_params())
+    d_delta_f = rhs(REST, LOSS_PU, 0.0, default_params())[0]
     # Closed form: -loss / (2H), scaled to Hz/s by the nominal frequency.
-    assert d.d_delta_f * 60.0 == pytest.approx(-0.4254916792738275, rel=1e-12)
-    assert d.d_delta_f * 60.0 == pytest.approx(-0.4255, abs=1e-4)
+    assert d_delta_f * 60.0 == pytest.approx(-0.4254916792738275, rel=1e-12)
+    assert d_delta_f * 60.0 == pytest.approx(-0.4255, abs=1e-4)
 
 
 def test_swing_derivative_initial_rocof_weighted_preset():
     params = default_params(h_eff_s=WEIGHTED_H)
-    d = swing_derivative(GridState(), LOSS_PU, 0.0, params)
-    assert d.d_delta_f * 60.0 == pytest.approx(-LOSS_PU * 60.0 / (2.0 * WEIGHTED_H))
-    assert d.d_delta_f * 60.0 == pytest.approx(-0.682, abs=1e-3)
+    d_delta_f = rhs(REST, LOSS_PU, 0.0, params)[0]
+    assert d_delta_f * 60.0 == pytest.approx(-LOSS_PU * 60.0 / (2.0 * WEIGHTED_H))
+    assert d_delta_f * 60.0 == pytest.approx(-0.682, abs=1e-3)
 
 
-state_st = st.builds(
-    GridState,
-    delta_f_pu=st.floats(-0.05, 0.05),
-    p_gov_pu=st.floats(-2.0, 2.0),
-    p_mech_pu=st.floats(-2.0, 2.0),
-    p_ev_pu=st.floats(-2.0, 2.0),
-    mean_soc=st.just(0.5),
+state_st = st.tuples(
+    st.floats(-0.05, 0.05),
+    st.floats(-2.0, 2.0),
+    st.floats(-2.0, 2.0),
+    st.floats(-2.0, 2.0),
 )
 input_st = st.floats(-1.0, 1.0)
 coeff_st = st.floats(-3.0, 3.0)
@@ -148,20 +156,12 @@ coeff_st = st.floats(-3.0, 3.0)
        a=coeff_st, b=coeff_st)
 def test_swing_derivative_linearity(x1, x2, d1, d2, c1, c2, a, b):
     params = default_params()
-    combined = GridState(
-        delta_f_pu=a * x1.delta_f_pu + b * x2.delta_f_pu,
-        p_gov_pu=a * x1.p_gov_pu + b * x2.p_gov_pu,
-        p_mech_pu=a * x1.p_mech_pu + b * x2.p_mech_pu,
-        p_ev_pu=a * x1.p_ev_pu + b * x2.p_ev_pu,
-        mean_soc=0.5,
-    )
-    lhs = swing_derivative(combined, a * d1 + b * d2, a * c1 + b * c2, params)
-    da = swing_derivative(x1, d1, c1, params)
-    db = swing_derivative(x2, d2, c2, params)
-    for field in ("d_delta_f", "d_p_gov", "d_p_mech", "d_p_ev"):
-        expect = a * getattr(da, field) + b * getattr(db, field)
-        got = getattr(lhs, field)
-        assert got == pytest.approx(expect, rel=1e-12, abs=1e-12)
+    combined = tuple(a * u + b * v for u, v in zip(x1, x2))
+    lhs = rhs(combined, a * d1 + b * d2, a * c1 + b * c2, params)
+    da = rhs(x1, d1, c1, params)
+    db = rhs(x2, d2, c2, params)
+    for got, u, v in zip(lhs, da, db):
+        assert got == pytest.approx(a * u + b * v, rel=1e-12, abs=1e-12)
 
 
 @given(
@@ -188,9 +188,7 @@ def test_ode_equilibrium_matches_closed_form(
     )
 
     def deriv(vec):
-        state = GridState(vec[0], vec[1], vec[2], vec[3], 0.5)
-        d = swing_derivative(state, disturbance, command, params)
-        return np.array([d.d_delta_f, d.d_p_gov, d.d_p_mech, d.d_p_ev])
+        return np.array(rhs(vec, disturbance, command, params))
 
     # The RHS is affine: extract A and b numerically and solve A x = -b.
     b = deriv(np.zeros(4))
@@ -251,14 +249,6 @@ def test_grid_from_mix():
     grid = grid_from_mix(CALIFORNIA_LOW_INERTIA_MIX)
     assert grid.h_eff_s == pytest.approx(WEIGHTED_H, rel=1e-12)
     assert grid.s_base_mw == pytest.approx(19830.0)
-
-
-def test_grid_state_validation():
-    with pytest.raises(ValueError):
-        GridState(delta_f_pu=math.inf)
-    with pytest.raises(ValueError):
-        GridState(mean_soc=1.5)
-    assert GridState(delta_f_pu=-0.005).frequency_hz(60.0) == pytest.approx(59.7)
 
 
 def test_load_mix_csv_roundtrip(tmp_path):

@@ -28,7 +28,6 @@ def make_traj(freqs, step=0.01, t0=0.0, event_time=0.0):
         p_ev_pu=zeros,
         mean_soc=zeros,
         latch_time_s=None,
-        f_nominal_hz=60.0,
         event_time_s=event_time,
     )
 

@@ -16,11 +16,7 @@ from fleetfreq.fleet import (
     InfeasibleChargingWindow,
     VehicleClass,
 )
-from fleetfreq.grid import (
-    CALIFORNIA_LOW_INERTIA_MIX,
-    steady_state_deviation,
-    to_per_unit,
-)
+from fleetfreq.grid import CALIFORNIA_LOW_INERTIA_MIX, steady_state_deviation
 from fleetfreq.metrics import evaluate, nadir, rocof
 from fleetfreq.simulator import (
     DayProfile,
@@ -64,9 +60,8 @@ def test_initial_rocof_matches_closed_form():
 def test_late_horizon_matches_steady_state_oracle():
     traj = simulate(default_scenario())
     assert float(traj.frequency_hz[-1]) == pytest.approx(F_SS_ORACLE, abs=1e-3)
-    oracle = 60.0 + steady_state_deviation(
-        to_per_unit(1800.0, default_scenario().grid), default_scenario().grid
-    )
+    grid = default_scenario().grid
+    oracle = 60.0 + steady_state_deviation(1800.0 / grid.s_base_mw, grid)
     assert oracle == pytest.approx(F_SS_ORACLE, rel=1e-12)
 
 
@@ -75,7 +70,7 @@ def test_rocof_with_mix_derived_inertia():
     grid = scenario.resolved_grid()
     assert grid.h_eff_s == pytest.approx(3.9943267776096825, rel=1e-12)
     traj = simulate(scenario)
-    oracle = -to_per_unit(1800.0, grid) * 60.0 / (2.0 * grid.h_eff_s)
+    oracle = -1800.0 / grid.s_base_mw * 60.0 / (2.0 * grid.h_eff_s)
     assert rocof(traj, 0.5) == pytest.approx(oracle, abs=2e-3)
 
 
@@ -198,6 +193,21 @@ def test_step_refinement_changes_metrics_little():
     assert abs(coarse.nadir_hz - fine.nadir_hz) < 1e-4
     assert abs(coarse.rocof_hz_per_s - fine.rocof_hz_per_s) < 1e-3
     assert abs(coarse.settling_time_s - fine.settling_time_s) <= 0.01 + 1e-12
+
+
+@pytest.mark.parametrize("mode", list(ControlMode))
+def test_reference_nadir_converges_under_step_halving(mode):
+    # The latch fires at step boundaries, so with the fleet responding the
+    # nadir error is first order in the step: measured against a 0.0025 s
+    # run it must shrink from 0.02 s to 0.01 s and stay below 5 mHz there.
+    base = scenario_from_config(load_config_file(REFERENCE_CONFIG))
+    base = with_controller(base, mode=mode, participation=1.0)
+    nadirs = {
+        dt: nadir(simulate(replace(base, step_s=dt)))[0] for dt in (0.02, 0.01, 0.0025)
+    }
+    gap_02, gap_01 = (abs(nadirs[dt] - nadirs[0.0025]) for dt in (0.02, 0.01))
+    assert gap_01 < gap_02
+    assert gap_01 < 5e-3
 
 
 def test_rk4_fourth_order_on_aligned_samples():
@@ -360,6 +370,7 @@ def test_grid_divergence_raises_the_first_diverged_cells_error():
         cell_err.value.step_index,
         cell_err.value.time_s,
     )
+    assert grid_err.value.cell == cells.index(late)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +380,7 @@ def test_grid_divergence_raises_the_first_diverged_cells_error():
 def test_bundled_day_profile_integrity():
     day = bundled_day_profile()
     assert len(day.rows) == 96
-    assert day.row_at(1200.0).mix == CALIFORNIA_LOW_INERTIA_MIX
+    assert day.rows[80].mix == CALIFORNIA_LOW_INERTIA_MIX  # 20:00
     assert day == synthetic_california_day()
     totals = {round(r.mix.total_power_mw, 6) for r in day.rows}
     assert totals == {19830.0}
@@ -427,7 +438,7 @@ def test_daily_scan_structure_and_order():
 def test_daily_scan_on_shift_equals_no_response():
     day = bundled_day_profile()
     base = fast_scan_base()
-    noon = day.row_at(720.0)
+    noon = day.rows[48]  # 12:00
     with_fleet = simulate(
         replace(
             with_controller(base, mode=ControlMode.V1G, participation=1.0),
@@ -444,8 +455,8 @@ def test_daily_scan_on_shift_equals_no_response():
 def test_daily_scan_lower_inertia_deeper_nadir():
     day = bundled_day_profile()
     base = with_controller(fast_scan_base(), participation=0.0)
-    noon = simulate(replace(base, mix=day.row_at(720.0).mix, clock_min=1200.0))
-    evening = simulate(replace(base, mix=day.row_at(1200.0).mix, clock_min=1200.0))
+    noon = simulate(replace(base, mix=day.rows[48].mix, clock_min=1200.0))
+    evening = simulate(replace(base, mix=day.rows[80].mix, clock_min=1200.0))
     assert nadir(noon)[0] <= nadir(evening)[0]
 
 
