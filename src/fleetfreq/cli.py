@@ -16,6 +16,7 @@ import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .config import (
@@ -23,26 +24,18 @@ from .config import (
     ProfileSettings,
     ScenarioAxes,
     canonical_json,
-    check_sections,
     day_profile_from_value,
     day_profile_to_value,
     from_section,
     load_config_file,
     metrics_from_config,
-    parse_clock_min,
-    parse_h_preset,
-    parse_levels,
-    parse_mode,
-    parse_modes,
-    parse_strategies,
-    parse_strategy,
     scenario_from_config,
     scenario_to_config,
     to_section,
     _section,
 )
 from .fleet import FleetConfig, InfeasibleChargingWindow, charging_profile
-from .grid import CALIFORNIA_LOW_INERTIA_MIX
+from .grid import CALIFORNIA_LOW_INERTIA_MIX, INERTIA_PRESETS
 from .metrics import FrequencyMetrics
 from .simulator import (
     IntegrationError,
@@ -87,46 +80,129 @@ def _header(command: str, cfg: dict) -> list[str]:
     return [f"# fleetfreq {command}", f"# config = {canonical_json(cfg)}"]
 
 
-def _apply(cfg: dict, section: str, key: str, value) -> None:
-    if value is None:
-        return
-    cfg.setdefault(section, {})
-    if not isinstance(cfg[section], dict):
-        raise ConfigError(f"section {section!r} must be an object")
-    cfg = cfg[section]
-    cfg[key] = value
+# ---------------------------------------------------------------------------
+# flags
+
+
+class Flag(NamedTuple):
+    """A command-line flag and the config key it sets.
+
+    convert only changes units or shape; the config section readers check
+    the value. A flag without a section sets a top-level key, and one
+    without a key sets each key of the dict that convert returns.
+    """
+
+    flag: str
+    section: str | None
+    key: str | None
+    convert: Callable
+    help: str
+    choices: tuple[str, ...] | None = None
+
+
+def _number(text: str):
+    """A number, or the text itself (HH:MM, or a value the reader rejects)."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _fraction(percent: str):
+    value = _number(percent)
+    return value / 100.0 if isinstance(value, float) else value
+
+
+def _items(text: str) -> list[str]:
+    return [part for part in text.split(",") if part.strip()]
+
+
+def _fractions(percents: str) -> list:
+    return [_fraction(part) for part in _items(percents)]
+
+
+def _h_preset(name: str) -> dict:
+    return {
+        "h_eff_s": INERTIA_PRESETS[name],
+        "s_base_mw": CALIFORNIA_LOW_INERTIA_MIX.total_power_mw,
+    }
+
+
+_SCENARIO_FLAGS = (
+    Flag("--step", "event", "step_s", _number, "integration step in seconds"),
+    Flag("--horizon", "event", "horizon_s", _number, "simulation horizon in seconds"),
+    Flag(
+        "--h-preset", "grid", None, _h_preset,
+        "effective-inertia preset for the bundled California mix (h_eff_s, s_base_mw)",
+        tuple(INERTIA_PRESETS),
+    ),
+    Flag("--mix", None, "mix", str, "generation mix CSV (source,h_seconds,power_mw)"),
+    Flag("--clock", "event", "clock_min", _number, "time of day, HH:MM or minutes"),
+)
+_STRATEGY = Flag(
+    "--strategy", "fleet", "strategy", str, "charging strategy (immediate|delayed|constant)"
+)
+_PERCENTS = "comma-separated participation percents"
+_MODES = "comma-separated modes (v1g,v2g)"
+
+FLAGS: dict[str, tuple[Flag, ...]] = {
+    "simulate": (
+        *_SCENARIO_FLAGS,
+        _STRATEGY,
+        Flag("--mode", "controller", "mode", str, "control mode (v1g|v2g)"),
+        Flag(
+            "--participation", "controller", "participation", _fraction,
+            "participation in percent",
+        ),
+    ),
+    "sweep": (
+        *_SCENARIO_FLAGS,
+        Flag("--levels", "sweep", "levels", _fractions, _PERCENTS),
+        Flag("--modes", "sweep", "modes", _items, _MODES),
+        Flag("--strategy", "sweep", "strategies", _items, "comma-separated strategies"),
+    ),
+    "daily": (
+        *_SCENARIO_FLAGS,
+        _STRATEGY,
+        Flag("--levels", "daily", "levels", _fractions, _PERCENTS),
+        Flag("--modes", "daily", "modes", _items, _MODES),
+        Flag(
+            "--day-profile", "daily", "day_profile", str,
+            "day profile CSV (default: bundled synthetic)",
+        ),
+    ),
+    "profile": (
+        _STRATEGY,
+        Flag("--step-min", "profile", "step_min", _number, "profile step in minutes"),
+    ),
+}
 
 
 def _load_cfg(args) -> dict:
+    """The --config dict (empty without one) with every given flag laid over it."""
     cfg = load_config_file(args.config) if args.config else {}
-    check_sections(cfg)
+    for flag in FLAGS[args.command]:
+        text = getattr(args, flag.flag[2:].replace("-", "_"))
+        if text is None:
+            continue
+        value = flag.convert(text)
+        if flag.section is None:
+            cfg[flag.key] = value
+            continue
+        section = cfg[flag.section] = dict(_section(cfg, flag.section))
+        if flag.key is None:
+            section.update(value)
+        else:
+            section[flag.key] = value
     return cfg
 
 
-def _apply_scenario_flags(cfg: dict, args) -> None:
-    if getattr(args, "h_preset", None) is not None:
-        h = parse_h_preset(args.h_preset)
-        _apply(cfg, "grid", "h_eff_s", h)
-        _apply(cfg, "grid", "s_base_mw", CALIFORNIA_LOW_INERTIA_MIX.total_power_mw)
-    if getattr(args, "mix", None) is not None:
-        cfg["mix"] = args.mix
-    if getattr(args, "step", None) is not None:
-        _apply(cfg, "event", "step_s", args.step)
-    if getattr(args, "horizon", None) is not None:
-        _apply(cfg, "event", "horizon_s", args.horizon)
-    if getattr(args, "clock", None) is not None:
-        _apply(cfg, "event", "clock_min", _clock_flag(args.clock))
-
-
-def _clock_flag(text: str) -> float:
-    """--clock: HH:MM, or a plain number of minutes since midnight."""
-    if ":" in text:
-        return parse_clock_min(text)
+def _grid(section: str, base: Scenario, *axes, **kwargs) -> list[Scenario]:
+    """scenario_grid, with a bad axis named by its config section."""
     try:
-        minutes = float(text)
-    except ValueError:
-        raise ConfigError(f"bad clock {text!r}: expected HH:MM or minutes") from None
-    return parse_clock_min(minutes)
+        return scenario_grid(base, *axes, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -135,15 +211,6 @@ def _clock_flag(text: str) -> float:
 
 def cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
-    _apply_scenario_flags(cfg, args)
-    if args.strategy is not None:
-        _apply(cfg, "fleet", "strategy", parse_strategy(args.strategy).value)
-    if args.mode is not None:
-        _apply(cfg, "controller", "mode", parse_mode(args.mode).value)
-    if args.participation is not None:
-        if not 0.0 <= args.participation <= 100.0:
-            raise ConfigError("participation must lie in [0, 100] percent")
-        _apply(cfg, "controller", "participation", args.participation / 100.0)
     scenario = scenario_from_config(cfg)
     metrics_from_config(cfg)  # checked, though a trajectory has no metrics
     traj = simulate(scenario)
@@ -225,19 +292,10 @@ def _write_grid(
 
 def cmd_sweep(args) -> int:
     cfg = _load_cfg(args)
-    _apply_scenario_flags(cfg, args)
-    if args.levels is not None:
-        _apply(cfg, "sweep", "levels", parse_levels(args.levels))
-    if args.modes is not None:
-        _apply(cfg, "sweep", "modes", [m.value for m in parse_modes(args.modes)])
-    if args.strategy is not None:
-        _apply(
-            cfg, "sweep", "strategies", [s.value for s in parse_strategies(args.strategy)]
-        )
     base = scenario_from_config(cfg)
     metric_cfg = metrics_from_config(cfg)
     axes = from_section(_section(cfg, "sweep"), ScenarioAxes(), "sweep")
-    scenarios = scenario_grid(base, axes.levels, axes.modes, axes.strategies)
+    scenarios = _grid("sweep", base, axes.levels, axes.modes, axes.strategies)
 
     echo = scenario_to_config(base)
     echo["metrics"] = metric_cfg
@@ -247,15 +305,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_daily(args) -> int:
     cfg = _load_cfg(args)
-    _apply_scenario_flags(cfg, args)
-    if args.strategy is not None:
-        _apply(cfg, "fleet", "strategy", parse_strategy(args.strategy).value)
-    if args.levels is not None:
-        _apply(cfg, "daily", "levels", parse_levels(args.levels))
-    if args.modes is not None:
-        _apply(cfg, "daily", "modes", [m.value for m in parse_modes(args.modes)])
-    if args.day_profile is not None:
-        _apply(cfg, "daily", "day_profile", args.day_profile)
     base = scenario_from_config(cfg)
     metric_cfg = metrics_from_config(cfg)
     daily_cfg = dict(_section(cfg, "daily"))
@@ -266,7 +315,7 @@ def cmd_daily(args) -> int:
         if day_value is None
         else day_profile_from_value(day_value)
     )
-    scenarios = scenario_grid(base, axes.levels, axes.modes, day=day)
+    scenarios = _grid("daily", base, axes.levels, axes.modes, day=day)
 
     echo = scenario_to_config(base)
     echo["metrics"] = metric_cfg
@@ -277,10 +326,6 @@ def cmd_daily(args) -> int:
 
 def cmd_profile(args) -> int:
     cfg = _load_cfg(args)
-    if args.strategy is not None:
-        _apply(cfg, "fleet", "strategy", parse_strategy(args.strategy).value)
-    if args.step_min is not None:
-        _apply(cfg, "profile", "step_min", args.step_min)
     fleet = from_section(_section(cfg, "fleet"), FleetConfig(), "fleet")
     profile = from_section(_section(cfg, "profile"), ProfileSettings(), "profile")
     clocks, *columns = charging_profile(fleet, profile.step_min)
@@ -316,62 +361,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"fleetfreq {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    commands = {
+        "simulate": (cmd_simulate, "integrate one contingency scenario"),
+        "sweep": (cmd_sweep, "participation sweep over strategies and modes"),
+        "daily": (cmd_daily, "nadir scan over a 96-interval day profile"),
+        "profile": (cmd_profile, "24 h fleet charging profile"),
+    }
+    for command, (func, help_text) in commands.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON run configuration file")
         p.add_argument("--out", required=True, help="output CSV path")
-
-    def scenario_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--step", type=float, help="integration step in seconds")
-        p.add_argument("--horizon", type=float, help="simulation horizon in seconds")
-        p.add_argument(
-            "--h-preset",
-            choices=("table2_reported", "table2_weighted"),
-            help="named effective-inertia preset for the bundled California mix",
-        )
-        p.add_argument("--mix", help="generation mix CSV (source,h_seconds,power_mw)")
-        p.add_argument("--clock", help="time of day, HH:MM or minutes")
-
-    def workers_flag(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--workers",
-            type=_worker_count,
-            default=1,
-            help="ignored, kept for compatibility (n >= 1): all cells run "
-            "together in one process",
-        )
-
-    p = sub.add_parser("simulate", help="integrate one contingency scenario")
-    common(p)
-    scenario_flags(p)
-    p.add_argument("--strategy", help="charging strategy (immediate|delayed|constant)")
-    p.add_argument("--mode", help="control mode (v1g|v2g)")
-    p.add_argument("--participation", type=float, help="participation in percent")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("sweep", help="participation sweep over strategies and modes")
-    common(p)
-    scenario_flags(p)
-    p.add_argument("--levels", help="comma-separated participation percents")
-    p.add_argument("--modes", help="comma-separated modes (v1g,v2g)")
-    p.add_argument("--strategy", help="comma-separated strategies to sweep")
-    workers_flag(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("daily", help="nadir scan over a 96-interval day profile")
-    common(p)
-    scenario_flags(p)
-    p.add_argument("--strategy", help="charging strategy for the scan")
-    p.add_argument("--levels", help="comma-separated participation percents")
-    p.add_argument("--modes", help="comma-separated modes (v1g,v2g)")
-    p.add_argument("--day-profile", help="day profile CSV (default: bundled synthetic)")
-    workers_flag(p)
-    p.set_defaults(func=cmd_daily)
-
-    p = sub.add_parser("profile", help="24 h fleet charging profile")
-    common(p)
-    p.add_argument("--strategy", help="charging strategy (immediate|delayed|constant)")
-    p.add_argument("--step-min", type=float, help="profile step in minutes")
-    p.set_defaults(func=cmd_profile)
+        for flag in FLAGS[command]:
+            where = ".".join(filter(None, (flag.section, flag.key)))
+            p.add_argument(flag.flag, choices=flag.choices, help=f"{flag.help} [{where}]")
+        if command in ("sweep", "daily"):
+            p.add_argument(
+                "--workers",
+                type=_worker_count,
+                default=1,
+                help="ignored, kept for compatibility (n >= 1): all cells run "
+                "together in one process",
+            )
+        p.set_defaults(func=func)
 
     return parser
 

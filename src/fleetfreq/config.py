@@ -22,7 +22,6 @@ from .fleet import ChargingStrategy, FleetConfig
 from .grid import (
     GenerationMix,
     GenerationSource,
-    INERTIA_PRESETS,
     grid_from_preset,
     load_mix_csv,
 )
@@ -223,10 +222,13 @@ def mix_from_value(value) -> GenerationMix | None:
     for i, entry in enumerate(value, start=1):
         where = f"mix[{i}]"
         entry = _take(entry, dict.fromkeys(("source", "h_seconds", "power_mw")), where)
+        source = entry["source"]
+        if not isinstance(source, str) or not source:
+            raise ConfigError(f"{where}.source must be a non-empty string, got {source!r}")
         h_seconds = _number(entry["h_seconds"], f"{where}.h_seconds")
         power_mw = _number(entry["power_mw"], f"{where}.power_mw")
         try:
-            sources.append(GenerationSource(str(entry["source"]), h_seconds, power_mw))
+            sources.append(GenerationSource(source, h_seconds, power_mw))
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
     try:
@@ -294,63 +296,6 @@ def parse_mode(value) -> ControlMode:
 _ENUM_PARSERS = {ControlMode: parse_mode, ChargingStrategy: parse_strategy}
 
 
-def parse_levels(text: str) -> list[float]:
-    """Comma-separated participation percentages, e.g. '20,40,60,80,100'."""
-    levels = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            pct = float(part)
-        except ValueError as exc:
-            raise ConfigError(f"bad participation level {part!r}") from exc
-        if not 0.0 <= pct <= 100.0:
-            raise ConfigError(f"participation level {pct:g} outside [0, 100] percent")
-        levels.append(pct / 100.0)
-    if not levels:
-        raise ConfigError("no participation levels given")
-    return levels
-
-
-def parse_modes(text: str) -> list[ControlMode]:
-    modes = [parse_mode(part) for part in text.split(",") if part.strip()]
-    if not modes:
-        raise ConfigError("no modes given")
-    return modes
-
-
-def parse_strategies(text: str) -> list[ChargingStrategy]:
-    strategies = [parse_strategy(part) for part in text.split(",") if part.strip()]
-    if not strategies:
-        raise ConfigError("no strategies given")
-    return strategies
-
-
-def parse_h_preset(name: str) -> float:
-    if name not in INERTIA_PRESETS:
-        valid = ", ".join(sorted(INERTIA_PRESETS))
-        raise ConfigError(f"unknown inertia preset {name!r} (valid: {valid})")
-    return INERTIA_PRESETS[name]
-
-
-def load_config_file(path: str | Path) -> dict:
-    try:
-        with Path(path).open(encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
-    return cfg
-
-
-# ---------------------------------------------------------------------------
-# full scenario resolution
-
-
 KNOWN_SECTIONS = {
     "grid",
     "mix",
@@ -364,15 +309,40 @@ KNOWN_SECTIONS = {
 }
 
 
-def check_sections(cfg: dict) -> None:
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object, rejected if it repeats a key (json keeps the last)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"repeats key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def load_config_file(path: str | Path) -> dict:
+    try:
+        with Path(path).open(encoding="utf-8") as fh:
+            cfg = json.load(fh, object_pairs_hook=_unique_keys)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"config {path} {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
     for key in cfg:
         if key not in KNOWN_SECTIONS:
             raise ConfigError(f"unknown config section {key!r}")
+    return cfg
+
+
+# ---------------------------------------------------------------------------
+# full scenario resolution
 
 
 def scenario_from_config(cfg: dict) -> Scenario:
     """Build the base scenario from a config dict, defaults applied."""
-    check_sections(cfg)
     base = Scenario(
         grid=from_section(
             _section(cfg, "grid"), grid_from_preset("table2_reported"), "grid"

@@ -29,7 +29,6 @@ from .controller import (
 from .fleet import (
     ChargingStrategy,
     FleetConfig,
-    charging_window,
     fleet_state_at,
 )
 from .grid import (
@@ -127,7 +126,11 @@ class Scenario:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled state time series of one simulation."""
+    """Uniformly sampled state time series of one simulation.
+
+    latch_time_s is the first sample time at which the latch was on (the
+    trigger time), or None if it never switched on.
+    """
 
     times_s: np.ndarray
     frequency_hz: np.ndarray
@@ -180,7 +183,6 @@ def _cell(scenario: Scenario) -> _Cell:
     grid = scenario.resolved_grid()
     fleet = scenario.fleet
     controller = scenario.controller
-    charging_window(fleet.strategy, fleet.vehicle)  # surface infeasibility early
     fs0 = fleet_state_at(scenario.clock_min, fleet)
     # The command depends on the state only through the latch and the SoC
     # reserve gate, so it is tabulated per gate, still computed by the
@@ -275,9 +277,9 @@ def simulate(scenario: Scenario) -> Trajectory:
     for k in range(n_steps + 1):
         t = k * dt
         f = f0 * (1.0 + df)
-        if latched(f, threshold_hz, triggered, latch_on) != triggered:
-            triggered = not triggered
-            latch_time = t if triggered else None
+        triggered = latched(f, threshold_hz, triggered, latch_on)
+        if triggered and latch_time is None:
+            latch_time = t
         freq[k] = f
         p_mech_out[k] = pm
         p_ev_out[k] = pev

@@ -7,8 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fleetfreq.cli import main
-from fleetfreq.simulator import bundled_day_profile, day_profile_csv_text
+from fleetfreq.cli import FLAGS, main
+from fleetfreq.grid import grid_from_preset
+from fleetfreq.simulator import (
+    bundled_day_profile,
+    day_profile_csv_text,
+    synthetic_california_day,
+)
 
 
 REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
@@ -162,13 +167,14 @@ def test_simulate_roundtrip_from_header(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_simulate_infeasible_fleet_exit_3(tmp_path, capsys):
+@pytest.mark.parametrize("clock", [(), ("--clock", "12:00")], ids=["plugged", "on-shift"])
+def test_simulate_infeasible_fleet_exit_3(tmp_path, capsys, clock):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
         json.dumps({"fleet": {"vehicle": {"battery_kwh": 3000.0}}}), encoding="utf-8"
     )
     out = tmp_path / "traj.csv"
-    code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    code = main(["simulate", "--config", str(cfg), "--out", str(out), *clock])
     assert code == 3
     assert "deficit" in capsys.readouterr().err
     assert not out.exists()
@@ -446,3 +452,65 @@ def test_daily_2000_rows_match_sweep(tmp_path):
     assert len(sweep_rows) == len(at_2000) == 2
     for r in sweep_rows:
         assert at_2000[(r[1], r[2])] == r[nadir_i:]
+
+
+# ---------------------------------------------------------------------------
+# flags
+
+
+def flag_case(command, flag, tmp_path):
+    """A flag's text and the config that gives its converted value."""
+    if flag == "--mix":
+        path = tmp_path / "mix.csv"
+        path.write_text(
+            "source,h_seconds,power_mw\ngas,5.0,10000\nwind,0,10000\n", encoding="utf-8"
+        )
+        return str(path), {"mix": str(path)}
+    if flag == "--day-profile":
+        path = tmp_path / "day.csv"
+        path.write_text(
+            day_profile_csv_text(synthetic_california_day(5000.0)), encoding="utf-8"
+        )
+        return str(path), {"daily": {"day_profile": str(path)}}
+    if flag == "--h-preset":
+        grid = grid_from_preset("table2_weighted")
+        keys = {"h_eff_s": grid.h_eff_s, "s_base_mw": grid.s_base_mw}
+        return "table2_weighted", {"grid": keys}
+    if flag == "--strategy" and command == "sweep":
+        return "delayed,constant", {"sweep": {"strategies": ["delayed", "constant"]}}
+    return {
+        "--step": ("0.04", {"event": {"step_s": 0.04}}),
+        "--horizon": ("8", {"event": {"horizon_s": 8.0}}),
+        "--clock": ("21:30", {"event": {"clock_min": 1290.0}}),
+        "--strategy": ("delayed", {"fleet": {"strategy": "delayed"}}),
+        "--mode": ("v2g", {"controller": {"mode": "v2g"}}),
+        "--participation": ("60", {"controller": {"participation": 0.6}}),
+        "--levels": ("30,70", {command: {"levels": [0.3, 0.7]}}),
+        "--modes": ("v2g", {command: {"modes": ["v2g"]}}),
+        "--step-min": ("5", {"profile": {"step_min": 5.0}}),
+    }[flag]
+
+
+@pytest.mark.parametrize(
+    "command, flag", [(c, f.flag) for c, flags in FLAGS.items() for f in flags]
+)
+def test_flag_equals_its_config_key(tmp_path, command, flag):
+    base = {}
+    if command != "profile":
+        base["event"] = {"step_s": 0.05, "horizon_s": 10.0}
+    if command in ("sweep", "daily"):
+        base[command] = {"levels": [1.0], "modes": ["v1g"]}
+    text, given = flag_case(command, flag, tmp_path)
+    merged = {name: dict(value) for name, value in base.items()}
+    for name, value in given.items():
+        if isinstance(value, dict):
+            merged.setdefault(name, {}).update(value)
+        else:
+            merged[name] = value
+    base_cfg, merged_cfg = tmp_path / "base.json", tmp_path / "merged.json"
+    base_cfg.write_text(json.dumps(base), encoding="utf-8")
+    merged_cfg.write_text(json.dumps(merged), encoding="utf-8")
+    by_flag, by_config = tmp_path / "flag.csv", tmp_path / "config.csv"
+    assert main([command, "--config", str(base_cfg), flag, text, "--out", str(by_flag)]) == 0
+    assert main([command, "--config", str(merged_cfg), "--out", str(by_config)]) == 0
+    assert by_flag.read_bytes() == by_config.read_bytes()

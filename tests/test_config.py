@@ -33,6 +33,10 @@ from fleetfreq.simulator import Scenario
         ('{"sweep": {"levels": "0.2"}}', "sweep.levels"),
         ('{"sweep": {"modes": "v1g"}}', "sweep.modes"),
         ('{"sweep": {"strategies": ["immediate", "overnight"]}}', "sweep.strategies[1]"),
+        ('{"mix": [{"h_seconds": 5, "power_mw": 1}]}', "mix[1].source"),
+        ('{"mix": [{"source": 7, "h_seconds": 5, "power_mw": 1}]}', "mix[1].source"),
+        ('{"fleet": {"n_vehicles": 5}, "fleet": {"strategy": "delayed"}}', "key 'fleet'"),
+        ('{"grid": {"h_eff_s": 5, "h_eff_s": 6}}', "key 'h_eff_s'"),
     ],
 )
 def test_bad_value_exits_2_naming_the_field(tmp_path, capsys, cfg_text, field):
