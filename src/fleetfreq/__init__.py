@@ -21,6 +21,7 @@ from .fleet import (
     FleetConfig,
     FleetState,
     InfeasibleChargingWindow,
+    ProfileSettings,
     VehicleClass,
     charging_power_at,
     charging_profile,
@@ -60,5 +61,4 @@ from .simulator import (
     load_day_profile_csv,
     scenario_grid,
     simulate,
-    synthetic_california_day,
 )

@@ -21,7 +21,6 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .config import (
     ConfigError,
-    ProfileSettings,
     ScenarioAxes,
     canonical_json,
     day_profile_from_value,
@@ -34,7 +33,7 @@ from .config import (
     to_section,
     _section,
 )
-from .fleet import FleetConfig, InfeasibleChargingWindow, charging_profile
+from .fleet import FleetConfig, InfeasibleChargingWindow, ProfileSettings, charging_profile
 from .grid import CALIFORNIA_LOW_INERTIA_MIX, INERTIA_PRESETS
 from .metrics import FrequencyMetrics
 from .simulator import (
@@ -76,8 +75,15 @@ def write_atomic(path: str | Path, text: str) -> None:
         raise
 
 
-def _header(command: str, cfg: dict) -> list[str]:
-    return [f"# fleetfreq {command}", f"# config = {canonical_json(cfg)}"]
+def _write(args, command: str, echo: dict, columns: str, rows: list[str], what: str) -> int:
+    """Write --out: the header echoing the resolved config, the column names,
+    then one line per row."""
+    header = f"# fleetfreq {command}\n# config = {canonical_json(echo)}\n{columns}\n"
+    # Joined in one expression, so that no copy of the rows (a list with the
+    # header lines or a joined body) stays alive while the text is written.
+    write_atomic(args.out, header + "\n".join(rows) + "\n")
+    print(f"wrote {args.out} ({len(rows)} {what})", file=sys.stderr)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -214,23 +220,10 @@ def cmd_simulate(args) -> int:
     scenario = scenario_from_config(cfg)
     metrics_from_config(cfg)  # checked, though a trajectory has no metrics
     traj = simulate(scenario)
-    lines = _header("simulate", scenario_to_config(scenario))
-    lines.append(TRAJECTORY_COLUMNS)
-    for i in range(len(traj)):
-        lines.append(
-            ",".join(
-                (
-                    _fmt(traj.times_s[i]),
-                    _fmt(traj.frequency_hz[i]),
-                    _fmt(traj.p_mech_pu[i]),
-                    _fmt(traj.p_ev_pu[i]),
-                    _fmt(traj.mean_soc[i]),
-                )
-            )
-        )
-    write_atomic(args.out, "\n".join(lines) + "\n")
-    print(f"wrote {args.out} ({len(traj)} samples)", file=sys.stderr)
-    return 0
+    arrays = (traj.times_s, traj.frequency_hz, traj.p_mech_pu, traj.p_ev_pu, traj.mean_soc)
+    rows = ["%.6f,%.6f,%.6f,%.6f,%.6f" % row for row in zip(*arrays)]
+    echo = scenario_to_config(scenario)
+    return _write(args, "simulate", echo, TRAJECTORY_COLUMNS, rows, "samples")
 
 
 def _metrics_row(scenario_id: str, s: Scenario, m: FrequencyMetrics) -> str:
@@ -282,12 +275,8 @@ def _write_grid(
     except IntegrationError as exc:
         exc.args = (f"{ids[exc.cell]}: {exc}",)
         raise
-    lines = _header(command, echo)
-    lines.append(METRICS_COLUMNS)
-    lines.extend(_metrics_row(sid, s, m) for sid, s, m in zip(ids, scenarios, results))
-    write_atomic(args.out, "\n".join(lines) + "\n")
-    print(f"wrote {args.out} ({len(scenarios)} cells)", file=sys.stderr)
-    return 0
+    rows = [_metrics_row(sid, s, m) for sid, s, m in zip(ids, scenarios, results)]
+    return _write(args, command, echo, METRICS_COLUMNS, rows, "cells")
 
 
 def cmd_sweep(args) -> int:
@@ -328,15 +317,10 @@ def cmd_profile(args) -> int:
     cfg = _load_cfg(args)
     fleet = from_section(_section(cfg, "fleet"), FleetConfig(), "fleet")
     profile = from_section(_section(cfg, "profile"), ProfileSettings(), "profile")
-    clocks, *columns = charging_profile(fleet, profile.step_min)
+    rows = [",".join(map(_fmt, row)) for row in zip(*charging_profile(fleet, profile))]
 
     echo = {"fleet": to_section(fleet), "profile": to_section(profile)}
-    lines = _header("profile", echo)
-    lines.append(PROFILE_COLUMNS)
-    lines.extend(",".join(map(_fmt, row)) for row in zip(clocks, *columns))
-    write_atomic(args.out, "\n".join(lines) + "\n")
-    print(f"wrote {args.out} ({len(clocks)} samples)", file=sys.stderr)
-    return 0
+    return _write(args, "profile", echo, PROFILE_COLUMNS, rows, "samples")
 
 
 # ---------------------------------------------------------------------------

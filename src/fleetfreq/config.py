@@ -29,9 +29,9 @@ from .metrics import MetricsConfig
 from .simulator import (
     DAY_PROFILE_HEADER,
     DayProfile,
-    DayProfileRow,
     Scenario,
-    _mix_from_day_values,
+    day_profile_row,
+    day_profile_values,
     load_day_profile_csv,
 )
 
@@ -107,13 +107,6 @@ class ScenarioAxes:
     strategies: list[ChargingStrategy] = field(
         default_factory=lambda: list(ChargingStrategy)
     )
-
-
-@dataclass(frozen=True)
-class ProfileSettings:
-    """The "profile" section: the sample spacing of the 24 h profile."""
-
-    step_min: float = 15.0
 
 
 def _number(value, where: str) -> float:
@@ -238,13 +231,7 @@ def mix_from_value(value) -> GenerationMix | None:
 
 
 def day_profile_to_value(day: DayProfile) -> list[dict]:
-    rows = []
-    for row in day.rows:
-        by_name = {f"{s.name}_mw": s.power_mw for s in row.mix.sources}
-        entry = {"clock_min": row.clock_min}
-        entry.update({col: by_name[col] for col in DAY_PROFILE_HEADER[1:]})
-        rows.append(entry)
-    return rows
+    return [dict(zip(DAY_PROFILE_HEADER, day_profile_values(row))) for row in day.rows]
 
 
 def day_profile_from_value(value) -> DayProfile:
@@ -259,12 +246,9 @@ def day_profile_from_value(value) -> DayProfile:
     for i, entry in enumerate(value, start=1):
         where = f"day_profile[{i}]"
         entry = _take(entry, dict.fromkeys(DAY_PROFILE_HEADER), where)
-        values = {
-            col: _number(entry[col], f"{where}.{col}") for col in DAY_PROFILE_HEADER
-        }
-        clock = values.pop("clock_min")
+        values = [_number(entry[col], f"{where}.{col}") for col in DAY_PROFILE_HEADER]
         try:
-            rows.append(DayProfileRow(clock, _mix_from_day_values(values)))
+            rows.append(day_profile_row(values))
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
     try:

@@ -210,17 +210,28 @@ def fleet_state_at(clock_min: float, fleet: FleetConfig) -> FleetState:
     return FleetState(clock_min, plugged, power, soc)
 
 
+@dataclass(frozen=True)
+class ProfileSettings:
+    """The "profile" section: the sample spacing of the 24 h profile."""
+
+    step_min: float = 15.0
+
+    def __post_init__(self) -> None:
+        if self.step_min <= 0.0:
+            raise ValueError("step_min must be > 0")
+        n = MINUTES_PER_DAY / self.step_min
+        if abs(n - round(n)) > 1e-9:
+            raise ValueError("step_min must divide 24 h")
+
+
 def charging_profile(
-    fleet: FleetConfig, step_min: float
+    fleet: FleetConfig, settings: ProfileSettings
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The 24 h profile at step_min spacing: clocks in [0, 1440), per-vehicle
-    charging power in kW, fleet-aggregate load in MW, and per-vehicle SoC."""
-    if step_min <= 0.0:
-        raise ValueError("step_min must be > 0")
-    n = MINUTES_PER_DAY / step_min
-    if abs(n - round(n)) > 1e-9:
-        raise ValueError("step_min must divide 24 h")
-    clocks = np.arange(int(round(n))) * step_min
+    """The 24 h profile at settings.step_min spacing: clocks in [0, 1440),
+    per-vehicle charging power in kW, fleet-aggregate load in MW, and
+    per-vehicle SoC."""
+    step_min = settings.step_min
+    clocks = np.arange(int(round(MINUTES_PER_DAY / step_min))) * step_min
     per_vehicle = np.array(
         [charging_power_at(c, fleet.strategy, fleet.vehicle) for c in clocks]
     )

@@ -64,10 +64,12 @@ def effective_inertia(mix: GenerationMix) -> float:
     return math.fsum(s.inertia_s * s.power_mw for s in mix.sources) / total
 
 
-def load_mix_csv(path: str | Path) -> GenerationMix:
-    """Read a generation mix from CSV with header source,h_seconds,power_mw.
+def read_csv(path: str | Path, header: list[str], parse) -> list:
+    """The data rows of a CSV table, each passed through parse(cells).
 
-    Blank lines and lines starting with '#' are ignored.
+    Blank lines and lines starting with '#' are ignored. The first other line
+    must be the header, and every data row must be as wide. A bad row, or a
+    ValueError from parse, is raised naming the file and the data row.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -77,22 +79,31 @@ def load_mix_csv(path: str | Path) -> GenerationMix:
             if row and not row[0].lstrip().startswith("#")
         ]
     if not rows:
-        raise ValueError(f"{path}: empty mix file")
-    header = [c.strip() for c in rows[0]]
-    if header != MIX_CSV_HEADER:
+        raise ValueError(f"{path}: empty file")
+    got = [c.strip() for c in rows[0]]
+    if got != header:
         raise ValueError(
-            f"{path}: expected header {','.join(MIX_CSV_HEADER)}, got {','.join(header)}"
+            f"{path}: expected header {','.join(header)}, got {','.join(got)}"
         )
-    sources = []
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != 3:
-            raise ValueError(f"{path}: row {i}: expected 3 columns, got {len(row)}")
+    parsed = []
+    for i, row in enumerate(rows[1:], start=1):
+        where = f"{path}: data row {i}"
+        if len(row) != len(header):
+            raise ValueError(f"{where}: expected {len(header)} columns, got {len(row)}")
         try:
-            sources.append(
-                GenerationSource(row[0].strip(), float(row[1]), float(row[2]))
-            )
+            parsed.append(parse(row))
         except ValueError as exc:
-            raise ValueError(f"{path}: row {i}: {exc}") from exc
+            raise ValueError(f"{where}: {exc}") from exc
+    return parsed
+
+
+def load_mix_csv(path: str | Path) -> GenerationMix:
+    """Read a generation mix from CSV with header source,h_seconds,power_mw."""
+    sources = read_csv(
+        path,
+        MIX_CSV_HEADER,
+        lambda row: GenerationSource(row[0].strip(), float(row[1]), float(row[2])),
+    )
     return GenerationMix(tuple(sources))
 
 

@@ -10,7 +10,6 @@ numpy arrays by the same arithmetic, with results in input-grid order.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -32,37 +31,16 @@ from .fleet import (
     fleet_state_at,
 )
 from .grid import (
+    CALIFORNIA_LOW_INERTIA_MIX,
     GenerationMix,
     GenerationSource,
     GridParameters,
     grid_from_mix,
     grid_from_preset,
+    read_csv,
     _rhs,
 )
 from . import metrics as metrics_mod
-
-DAY_PROFILE_HEADER = [
-    "clock_min",
-    "coal_mw",
-    "natural_gas_mw",
-    "nuclear_mw",
-    "petroleum_mw",
-    "wind_solar_mw",
-    "hydro_mw",
-    "other_mw",
-]
-
-# Inertia constants by day-profile column; wind/solar and "other" are
-# inverter-interfaced and carry no rotating mass.
-DAY_SOURCE_INERTIA_S = {
-    "coal_mw": 2.6,
-    "natural_gas_mw": 4.9,
-    "nuclear_mw": 4.1,
-    "petroleum_mw": 3.6,
-    "wind_solar_mw": 0.0,
-    "hydro_mw": 2.4,
-    "other_mw": 0.0,
-}
 
 BUNDLED_DAY_PROFILE = "california_day_synthetic.csv"
 
@@ -563,6 +541,14 @@ def scenario_grid(
 # Day profiles
 
 
+# The columns of a day profile: the clock, then the power of each source of
+# the bundled California mix, which gives every row its inertia constants.
+DAY_PROFILE_HEADER = [
+    "clock_min",
+    *(f"{s.name}_mw" for s in CALIFORNIA_LOW_INERTIA_MIX.sources),
+]
+
+
 @dataclass(frozen=True)
 class DayProfileRow:
     clock_min: float
@@ -579,114 +565,48 @@ class DayProfile:
         object.__setattr__(self, "rows", tuple(self.rows))
         if len(self.rows) != 96:
             raise ValueError(f"day profile needs exactly 96 rows, got {len(self.rows)}")
-        for i, row in enumerate(self.rows):
-            expected = 15.0 * i
+        seen: dict[float, int] = {}
+        for i, row in enumerate(self.rows, start=1):
+            if row.clock_min in seen:
+                raise ValueError(
+                    f"day profile row {i}: duplicate clock_min {row.clock_min:g} "
+                    f"(first at row {seen[row.clock_min]})"
+                )
+            seen[row.clock_min] = i
+            expected = 15.0 * (i - 1)
             if row.clock_min != expected:
                 raise ValueError(
-                    f"day profile row {i + 1}: expected clock_min {expected:g}, "
+                    f"day profile row {i}: expected clock_min {expected:g}, "
                     f"got {row.clock_min:g}"
                 )
 
 
-def _mix_from_day_values(values: dict[str, float]) -> GenerationMix:
+def day_profile_row(values) -> DayProfileRow:
+    """A day-profile row from its values, in DAY_PROFILE_HEADER order."""
+    clock_min, *powers = values
     sources = tuple(
-        GenerationSource(col[:-3], DAY_SOURCE_INERTIA_S[col], values[col])
-        for col in DAY_PROFILE_HEADER[1:]
+        GenerationSource(s.name, s.inertia_s, power)
+        for s, power in zip(CALIFORNIA_LOW_INERTIA_MIX.sources, powers, strict=True)
     )
-    return GenerationMix(sources)
+    return DayProfileRow(clock_min, GenerationMix(sources))
+
+
+def day_profile_values(row: DayProfileRow) -> list[float]:
+    """The values of a day-profile row, in DAY_PROFILE_HEADER order; the
+    inverse of day_profile_row."""
+    by_name = {s.name: s.power_mw for s in row.mix.sources}
+    return [row.clock_min, *(by_name[s.name] for s in CALIFORNIA_LOW_INERTIA_MIX.sources)]
 
 
 def load_day_profile_csv(path: str | Path) -> DayProfile:
-    """Read a 96-row day profile; rejects bad headers, duplicate or
-    out-of-order clocks, and wrong row counts, naming the offending row."""
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        raw = [
-            row
-            for row in csv.reader(fh)
-            if row and not row[0].lstrip().startswith("#")
-        ]
-    if not raw:
-        raise ValueError(f"{path}: empty day profile")
-    header = [c.strip() for c in raw[0]]
-    if header != DAY_PROFILE_HEADER:
-        raise ValueError(
-            f"{path}: expected header {','.join(DAY_PROFILE_HEADER)}, "
-            f"got {','.join(header)}"
-        )
-    rows = []
-    seen: dict[float, int] = {}
-    for i, row in enumerate(raw[1:], start=1):
-        if len(row) != len(DAY_PROFILE_HEADER):
-            raise ValueError(f"{path}: data row {i}: expected 8 columns")
-        try:
-            clock = float(row[0])
-            values = {
-                col: float(cell) for col, cell in zip(DAY_PROFILE_HEADER[1:], row[1:])
-            }
-        except ValueError as exc:
-            raise ValueError(f"{path}: data row {i}: {exc}") from exc
-        if clock in seen:
-            raise ValueError(
-                f"{path}: data row {i}: duplicate clock_min {clock:g} "
-                f"(first at data row {seen[clock]})"
-            )
-        seen[clock] = i
-        try:
-            rows.append(DayProfileRow(clock, _mix_from_day_values(values)))
-        except ValueError as exc:
-            raise ValueError(f"{path}: data row {i}: {exc}") from exc
+    """Read a 96-row day profile with header DAY_PROFILE_HEADER."""
+    rows = read_csv(
+        path, DAY_PROFILE_HEADER, lambda cells: day_profile_row(map(float, cells))
+    )
     try:
         return DayProfile(tuple(rows))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-
-
-def synthetic_california_day(solar_peak_mw: float = 6000.0) -> DayProfile:
-    """Synthetic daily mix built around the bundled low-inertia evening hour.
-
-    The 20:00 interval reproduces the California dataset exactly. All other
-    intervals apply a synthetic midday solar curve (sin^2 between 06:00 and
-    19:00) that displaces natural gas one-for-one, so total generation stays
-    constant while effective inertia dips through the middle of the day. The
-    curve is illustrative, not measured data.
-    """
-    base = {
-        "coal_mw": 1166.0,
-        "natural_gas_mw": 12996.0,
-        "nuclear_mw": 1147.0,
-        "petroleum_mw": 88.0,
-        "wind_solar_mw": 809.0,
-        "hydro_mw": 3115.0,
-        "other_mw": 509.0,
-    }
-    rows = []
-    for i in range(96):
-        clock = 15.0 * i
-        hours = clock / 60.0
-        if 6.0 <= hours <= 19.0:
-            solar = solar_peak_mw * math.sin(math.pi * (hours - 6.0) / 13.0) ** 2
-        else:
-            solar = 0.0
-        solar = round(solar, 6)
-        values = dict(base)
-        values["wind_solar_mw"] = round(base["wind_solar_mw"] + solar, 6)
-        values["natural_gas_mw"] = round(base["natural_gas_mw"] - solar, 6)
-        rows.append(DayProfileRow(clock, _mix_from_day_values(values)))
-    return DayProfile(tuple(rows))
-
-
-def day_profile_csv_text(day: DayProfile, comments: list[str] | None = None) -> str:
-    """Render a day profile in its CSV interchange format."""
-    lines = [f"# {c}" for c in (comments or [])]
-    lines.append(",".join(DAY_PROFILE_HEADER))
-    for row in day.rows:
-        by_name = {f"{s.name}_mw": s.power_mw for s in row.mix.sources}
-        cells = [f"{row.clock_min:.6f}"] + [
-            f"{by_name[col]:.6f}" for col in DAY_PROFILE_HEADER[1:]
-        ]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
 
 
 def bundled_day_profile() -> DayProfile:

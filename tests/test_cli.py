@@ -2,18 +2,19 @@
 across runs and worker counts, exit codes, and atomic output behavior."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fleetfreq.cli import FLAGS, main
+from fleetfreq.config import day_profile_from_value
+from fleetfreq.controller import ControlMode
 from fleetfreq.grid import grid_from_preset
-from fleetfreq.simulator import (
-    bundled_day_profile,
-    day_profile_csv_text,
-    synthetic_california_day,
-)
+from fleetfreq.simulator import bundled_day_profile, default_scenario, simulate
+
+from day_profiles import day_profile_csv_text, synthetic_california_day
 
 
 REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
@@ -123,6 +124,24 @@ def test_simulate_deterministic_bytes(tmp_path):
     assert main(["simulate", "--out", str(out1)]) == 0
     assert main(["simulate", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_simulate_rows_are_the_trajectory_at_six_decimals(tmp_path):
+    out = tmp_path / "traj.csv"
+    args = ["--mode", "v2g", "--participation", "100", "--step", "0.05", "--horizon", "10"]
+    assert main(["simulate", "--out", str(out), *args]) == 0
+    scenario = default_scenario(step_s=0.05, horizon_s=10.0)
+    scenario = replace(
+        scenario,
+        controller=replace(scenario.controller, mode=ControlMode.V2G, participation=1.0),
+    )
+    traj = simulate(scenario)
+    arrays = (traj.times_s, traj.frequency_hz, traj.p_mech_pu, traj.p_ev_pu, traj.mean_soc)
+    expected = [",".join(f"{x:.6f}" for x in row) for row in zip(*arrays)]
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[2] == "t_s,f_hz,p_mech_pu,p_ev_pu,mean_soc"
+    assert lines[3:] == expected
+    assert traj.latch_time_s is not None  # the run exercises the V2G command
 
 
 def test_simulate_h_preset_flag(tmp_path):
@@ -241,7 +260,7 @@ def test_non_finite_csv_number_exit_2_naming_the_row(tmp_path, capsys, kind, val
             f"source,h_seconds,power_mw\ngas,{value},10000\nwind,0,10000\n",
             encoding="utf-8",
         )
-        args, row = ["simulate", "--out", str(out), "--mix", str(path)], "row 2"
+        args, row = ["simulate", "--out", str(out), "--mix", str(path)], "data row 1"
     else:
         lines = day_profile_csv_text(bundled_day_profile()).splitlines()
         cells = lines[5].split(",")
@@ -412,6 +431,28 @@ def test_daily_duplicate_clock_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "duplicate clock_min" in err and "row" in err
     assert not out.exists()
+
+
+def test_daily_profile_csv_equals_its_json_echo(tmp_path):
+    out = tmp_path / "daily.csv"
+    assert main(daily_args(out)) == 0
+    echoed = read_config(out)["daily"]["day_profile"]
+    assert day_profile_from_value(echoed) == bundled_day_profile()
+
+
+def test_daily_json_duplicate_clock_rejected(tmp_path, capsys):
+    out = tmp_path / "daily.csv"
+    assert main(daily_args(out)) == 0
+    cfg = read_config(out)
+    rows = cfg["daily"]["day_profile"]
+    rows[9]["clock_min"] = rows[8]["clock_min"]
+    cfg_path = tmp_path / "dup.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out2 = tmp_path / "dup.csv"
+    assert main(["daily", "--config", str(cfg_path), "--out", str(out2)]) == 2
+    err = capsys.readouterr().err
+    assert "duplicate clock_min" in err and "row 10" in err
+    assert not out2.exists()
 
 
 def test_daily_wrong_row_count_rejected(tmp_path, capsys):

@@ -37,13 +37,16 @@ from fleetfreq.simulator import Scenario
         ('{"mix": [{"source": 7, "h_seconds": 5, "power_mw": 1}]}', "mix[1].source"),
         ('{"fleet": {"n_vehicles": 5}, "fleet": {"strategy": "delayed"}}', "key 'fleet'"),
         ('{"grid": {"h_eff_s": 5, "h_eff_s": 6}}', "key 'h_eff_s'"),
+        ('{"profile": {"step_min": 7}}', "profile: step_min"),
+        ('{"profile": {"step_min": -1}}', "profile: step_min"),
     ],
 )
 def test_bad_value_exits_2_naming_the_field(tmp_path, capsys, cfg_text, field):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(cfg_text, encoding="utf-8")
-    out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    out = tmp_path / "out.csv"
+    command = "profile" if '"profile"' in cfg_text else "sweep"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert field in capsys.readouterr().err
     assert not out.exists()
 

@@ -278,5 +278,5 @@ def test_load_mix_csv_bad_row_named(tmp_path):
     path.write_text(
         "source,h_seconds,power_mw\ngas,4.9,8000\nwind,0,-5\n", encoding="utf-8"
     )
-    with pytest.raises(ValueError, match="row 3"):
+    with pytest.raises(ValueError, match="data row 2"):
         load_mix_csv(path)

@@ -23,14 +23,14 @@ from fleetfreq.simulator import (
     DayProfileRow,
     IntegrationError,
     bundled_day_profile,
-    day_profile_csv_text,
     default_scenario,
     evaluate_scenarios,
     load_day_profile_csv,
     scenario_grid,
     simulate,
-    synthetic_california_day,
 )
+
+from day_profiles import day_profile_csv_text, synthetic_california_day
 
 REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
 ROCOF_ORACLE_REPORTED = -0.4254916792738275  # -loss_pu * 60 / (2 * 6.4)
