@@ -57,15 +57,23 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-def write_atomic(path: str | Path, text: str) -> None:
-    """Write via a temp file and rename; no partial file survives a failure."""
+# Rows per write: each chunk is joined and written on its own, so that the
+# text of the whole output never exists at once.
+WRITE_CHUNK_ROWS = 4096
+
+
+def write_atomic(path: str | Path, header: str, rows: list[str]) -> None:
+    """Write the header, then one line per row, via a temp file and rename;
+    no partial file survives a failure."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(
         dir=str(path.parent) or ".", prefix=f".{path.name}.", suffix=".tmp"
     )
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.write(header)
+            for i in range(0, len(rows), WRITE_CHUNK_ROWS):
+                fh.write("\n".join(rows[i : i + WRITE_CHUNK_ROWS]) + "\n")
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -79,9 +87,7 @@ def _write(args, command: str, echo: dict, columns: str, rows: list[str], what: 
     """Write --out: the header echoing the resolved config, the column names,
     then one line per row."""
     header = f"# fleetfreq {command}\n# config = {canonical_json(echo)}\n{columns}\n"
-    # Joined in one expression, so that no copy of the rows (a list with the
-    # header lines or a joined body) stays alive while the text is written.
-    write_atomic(args.out, header + "\n".join(rows) + "\n")
+    write_atomic(args.out, header, rows)
     print(f"wrote {args.out} ({len(rows)} {what})", file=sys.stderr)
     return 0
 

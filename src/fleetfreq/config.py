@@ -11,8 +11,7 @@ rejected with the field named.
 from __future__ import annotations
 
 import json
-import sys
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import astuple, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -20,19 +19,20 @@ from typing import get_args, get_origin, get_type_hints
 from .controller import ControlMode, ControllerConfig
 from .fleet import ChargingStrategy, FleetConfig
 from .grid import (
+    MIX_COLUMNS,
     GenerationMix,
     GenerationSource,
+    finite_number,
     grid_from_preset,
-    load_mix_csv,
+    read_table,
 )
 from .metrics import MetricsConfig
 from .simulator import (
-    DAY_PROFILE_HEADER,
+    DAY_PROFILE_COLUMNS,
     DayProfile,
     Scenario,
     day_profile_row,
     day_profile_values,
-    load_day_profile_csv,
 )
 
 # Scenario fields read from and echoed to the "event" section; the other
@@ -59,7 +59,7 @@ def parse_clock_min(value) -> float:
         if not (0 <= hours < 24 and 0 <= minutes < 60):
             raise ConfigError(f"bad clock {value!r}: out of range")
         return 60.0 * hours + float(minutes)
-    clock = _number(value, "clock")
+    clock = finite_number(value, "clock")
     if not 0.0 <= clock < 1440.0:
         raise ConfigError(f"clock {clock:g} outside [0, 1440) minutes")
     return clock
@@ -67,18 +67,6 @@ def parse_clock_min(value) -> float:
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _take(section: dict, known: dict, where: str) -> dict:
-    """Overlay section onto known defaults, rejecting unknown keys."""
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be an object")
-    merged = dict(known)
-    for key, value in section.items():
-        if key not in known:
-            raise ConfigError(f"unknown key {key!r} in {where}")
-        merged[key] = value
-    return merged
 
 
 def _section(cfg: dict, name: str) -> dict:
@@ -109,30 +97,19 @@ class ScenarioAxes:
     )
 
 
-def _number(value, where: str) -> float:
-    """A finite JSON number, as a float."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not abs(value) <= sys.float_info.max
-    ):
-        raise ConfigError(f"{where} must be a finite number, got {value!r}")
-    return float(value)
-
-
 def _parsed(parse, value, where: str):
     try:
         return parse(value)
-    except ConfigError as exc:
+    except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
 def _coerce(tp, value, where: str):
     """A JSON value as a field of type tp."""
     if tp is float:
-        return _number(value, where)
+        return finite_number(value, where)
     if tp is int:
-        number = _number(value, where)
+        number = finite_number(value, where)
         if not number.is_integer():
             raise ConfigError(f"{where} must be an integer, got {value!r}")
         return int(number)
@@ -195,66 +172,23 @@ def _plain(value):
 def mix_to_value(mix: GenerationMix | None):
     if mix is None:
         return None
-    return [
-        {"source": s.name, "h_seconds": s.inertia_s, "power_mw": s.power_mw}
-        for s in mix.sources
-    ]
+    return [dict(zip(MIX_COLUMNS, astuple(s))) for s in mix.sources]
 
 
 def mix_from_value(value) -> GenerationMix | None:
     if value is None:
         return None
-    if isinstance(value, str):
-        try:
-            return load_mix_csv(value)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"mix: {exc}") from exc
-    if not isinstance(value, list):
-        raise ConfigError("mix must be null, a CSV path, or a list of sources")
-    sources = []
-    for i, entry in enumerate(value, start=1):
-        where = f"mix[{i}]"
-        entry = _take(entry, dict.fromkeys(("source", "h_seconds", "power_mw")), where)
-        source = entry["source"]
-        if not isinstance(source, str) or not source:
-            raise ConfigError(f"{where}.source must be a non-empty string, got {source!r}")
-        h_seconds = _number(entry["h_seconds"], f"{where}.h_seconds")
-        power_mw = _number(entry["power_mw"], f"{where}.power_mw")
-        try:
-            sources.append(GenerationSource(source, h_seconds, power_mw))
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-    try:
-        return GenerationMix(tuple(sources))
-    except ValueError as exc:
-        raise ConfigError(f"mix: {exc}") from exc
+    return GenerationMix(read_table(value, MIX_COLUMNS, GenerationSource, "mix"))
 
 
 def day_profile_to_value(day: DayProfile) -> list[dict]:
-    return [dict(zip(DAY_PROFILE_HEADER, day_profile_values(row))) for row in day.rows]
+    return [dict(zip(DAY_PROFILE_COLUMNS, day_profile_values(row))) for row in day.rows]
 
 
 def day_profile_from_value(value) -> DayProfile:
-    if isinstance(value, str):
-        try:
-            return load_day_profile_csv(value)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"day_profile: {exc}") from exc
-    if not isinstance(value, list):
-        raise ConfigError("day_profile must be a CSV path or a list of rows")
-    rows = []
-    for i, entry in enumerate(value, start=1):
-        where = f"day_profile[{i}]"
-        entry = _take(entry, dict.fromkeys(DAY_PROFILE_HEADER), where)
-        values = [_number(entry[col], f"{where}.{col}") for col in DAY_PROFILE_HEADER]
-        try:
-            rows.append(day_profile_row(values))
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-    try:
-        return DayProfile(tuple(rows))
-    except ValueError as exc:
-        raise ConfigError(f"day_profile: {exc}") from exc
+    return DayProfile(
+        read_table(value, DAY_PROFILE_COLUMNS, day_profile_row, "day_profile")
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -326,17 +260,28 @@ def load_config_file(path: str | Path) -> dict:
 
 
 def scenario_from_config(cfg: dict) -> Scenario:
-    """Build the base scenario from a config dict, defaults applied."""
+    """Build the base scenario from a config dict, defaults applied.
+
+    A mix sets h_eff_s and s_base_mw, so a grid section that gives either
+    one next to a mix must give the value the mix derives.
+    """
+    grid = _section(cfg, "grid")
     base = Scenario(
-        grid=from_section(
-            _section(cfg, "grid"), grid_from_preset("table2_reported"), "grid"
-        ),
+        grid=from_section(grid, grid_from_preset("table2_reported"), "grid"),
         mix=mix_from_value(cfg.get("mix")),
         fleet=from_section(_section(cfg, "fleet"), FleetConfig(), "fleet"),
         controller=from_section(
             _section(cfg, "controller"), ControllerConfig(), "controller"
         ),
     )
+    derived = base.resolved_grid()
+    for key in ("h_eff_s", "s_base_mw"):
+        given, used = getattr(base.grid, key), getattr(derived, key)
+        if key in grid and given != used:
+            raise ConfigError(
+                f"grid.{key} is {given!r}, but the mix gives {used!r}: "
+                "drop one of them or make them equal"
+            )
     return from_section(_section(cfg, "event"), base, "event", EVENT_KEYS)
 
 

@@ -3,17 +3,17 @@
 Generation mix bookkeeping, effective system inertia, and the continuous-time
 right-hand side of the aggregated frequency dynamics: swing equation with
 load damping, plus first-order governor, turbine, and EV-actuation lags, all
-in per-unit on a configurable power base.
+in per-unit on a configurable power base. Also the reader of the input
+tables (generation mix, day profile), CSV or JSON rows, and its cell checks.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-
-MIX_CSV_HEADER = ["source", "h_seconds", "power_mw"]
 
 
 @dataclass(frozen=True)
@@ -64,47 +64,96 @@ def effective_inertia(mix: GenerationMix) -> float:
     return math.fsum(s.inertia_s * s.power_mw for s in mix.sources) / total
 
 
-def read_csv(path: str | Path, header: list[str], parse) -> list:
-    """The data rows of a CSV table, each passed through parse(cells).
+def finite_number(value, where: str) -> float:
+    """A finite number, as a float; a bool, a string or a non-finite value is
+    rejected with where named."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not abs(value) <= sys.float_info.max
+    ):
+        raise ValueError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
 
-    Blank lines and lines starting with '#' are ignored. The first other line
-    must be the header, and every data row must be as wide. A bad row, or a
-    ValueError from parse, is raised naming the file and the data row.
-    """
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = [
-            row
-            for row in csv.reader(fh)
-            if row and not row[0].lstrip().startswith("#")
-        ]
+
+def _cell(kind: type, value, where: str):
+    """A table cell checked as its column's kind: float or non-empty str."""
+    if kind is float:
+        return finite_number(value, where)
+    if not isinstance(value, str) or not value.strip():
+        raise ValueError(f"{where} must be a non-empty string, got {value!r}")
+    return value.strip()
+
+
+def _from_text(kind: type, text: str):
+    """A CSV cell as its JSON counterpart: a float, if it parses as one."""
+    if kind is float:
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _csv_rows(path: Path, columns: dict[str, type], where: str) -> list:
+    """(location, separator, cells by column) of each data row of a CSV table."""
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
+    except OSError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
     if not rows:
-        raise ValueError(f"{path}: empty file")
-    got = [c.strip() for c in rows[0]]
+        raise ValueError(f"{where}: {path}: empty file")
+    header, got = list(columns), [c.strip() for c in rows[0]]
     if got != header:
         raise ValueError(
-            f"{path}: expected header {','.join(header)}, got {','.join(got)}"
+            f"{where}: {path}: expected header {','.join(header)}, got {','.join(got)}"
         )
-    parsed = []
+    located = []
     for i, row in enumerate(rows[1:], start=1):
-        where = f"{path}: data row {i}"
+        at = f"{where}: {path}: data row {i}"
         if len(row) != len(header):
-            raise ValueError(f"{where}: expected {len(header)} columns, got {len(row)}")
+            raise ValueError(f"{at}: expected {len(header)} columns, got {len(row)}")
+        cells = dict(zip(header, map(_from_text, columns.values(), row)))
+        located.append((at, ": ", cells))
+    return located
+
+
+def read_table(value, columns: dict[str, type], make, where: str) -> list:
+    """The rows of a table, each built by make(*cells) in column order.
+
+    value is a CSV path or a JSON list of objects keyed by column name. In a
+    CSV, blank lines and lines starting with '#' are ignored, the first other
+    line must be the header and every data row must be as wide. In both
+    forms every cell passes _cell, a missing JSON key as None. Errors name
+    the row (`<where>: <file>: data row i` or `<where>[i]`) and the column;
+    a ValueError from make gets the row as a prefix.
+    """
+    if isinstance(value, list):
+        rows = [(f"{where}[{i}]", ".", row) for i, row in enumerate(value, start=1)]
+    elif isinstance(value, (str, Path)):
+        rows = _csv_rows(Path(value), columns, where)
+    else:
+        raise ValueError(f"{where} must be a CSV path or a list of rows")
+    table = []
+    for at, sep, row in rows:
+        if not isinstance(row, dict):
+            raise ValueError(f"{at} must be an object")
+        for key in row:
+            if key not in columns:
+                raise ValueError(f"unknown key {key!r} in {at}")
+        cells = [
+            _cell(kind, row.get(name), f"{at}{sep}{name}") for name, kind in columns.items()
+        ]
         try:
-            parsed.append(parse(row))
+            table.append(make(*cells))
         except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from exc
-    return parsed
+            raise ValueError(f"{at}: {exc}") from exc
+    return table
 
 
-def load_mix_csv(path: str | Path) -> GenerationMix:
-    """Read a generation mix from CSV with header source,h_seconds,power_mw."""
-    sources = read_csv(
-        path,
-        MIX_CSV_HEADER,
-        lambda row: GenerationSource(row[0].strip(), float(row[1]), float(row[2])),
-    )
-    return GenerationMix(tuple(sources))
+# The columns of a generation mix table, one row per source.
+MIX_COLUMNS = {"source": str, "h_seconds": float, "power_mw": float}
 
 
 # California generation mix during a critical low-inertia evening hour

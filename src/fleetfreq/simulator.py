@@ -37,7 +37,7 @@ from .grid import (
     GridParameters,
     grid_from_mix,
     grid_from_preset,
-    read_csv,
+    read_table,
     _rhs,
 )
 from . import metrics as metrics_mod
@@ -541,12 +541,12 @@ def scenario_grid(
 # Day profiles
 
 
-# The columns of a day profile: the clock, then the power of each source of
-# the bundled California mix, which gives every row its inertia constants.
-DAY_PROFILE_HEADER = [
-    "clock_min",
-    *(f"{s.name}_mw" for s in CALIFORNIA_LOW_INERTIA_MIX.sources),
-]
+# The columns of a day profile, all numbers: the clock, then the power of
+# each source of the bundled California mix, which gives every row its
+# inertia constants.
+DAY_PROFILE_COLUMNS = dict.fromkeys(
+    ["clock_min", *(f"{s.name}_mw" for s in CALIFORNIA_LOW_INERTIA_MIX.sources)], float
+)
 
 
 @dataclass(frozen=True)
@@ -581,9 +581,8 @@ class DayProfile:
                 )
 
 
-def day_profile_row(values) -> DayProfileRow:
-    """A day-profile row from its values, in DAY_PROFILE_HEADER order."""
-    clock_min, *powers = values
+def day_profile_row(clock_min: float, *powers: float) -> DayProfileRow:
+    """A day-profile row from its values, in DAY_PROFILE_COLUMNS order."""
     sources = tuple(
         GenerationSource(s.name, s.inertia_s, power)
         for s, power in zip(CALIFORNIA_LOW_INERTIA_MIX.sources, powers, strict=True)
@@ -592,25 +591,13 @@ def day_profile_row(values) -> DayProfileRow:
 
 
 def day_profile_values(row: DayProfileRow) -> list[float]:
-    """The values of a day-profile row, in DAY_PROFILE_HEADER order; the
-    inverse of day_profile_row."""
+    """The values of a day-profile row, in DAY_PROFILE_COLUMNS order; the
+    arguments of day_profile_row."""
     by_name = {s.name: s.power_mw for s in row.mix.sources}
     return [row.clock_min, *(by_name[s.name] for s in CALIFORNIA_LOW_INERTIA_MIX.sources)]
 
 
-def load_day_profile_csv(path: str | Path) -> DayProfile:
-    """Read a 96-row day profile with header DAY_PROFILE_HEADER."""
-    rows = read_csv(
-        path, DAY_PROFILE_HEADER, lambda cells: day_profile_row(map(float, cells))
-    )
-    try:
-        return DayProfile(tuple(rows))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
 def bundled_day_profile() -> DayProfile:
     """The packaged synthetic California day profile."""
-    return load_day_profile_csv(
-        Path(resources.files("fleetfreq").joinpath("data", BUNDLED_DAY_PROFILE))
-    )
+    path = Path(resources.files("fleetfreq").joinpath("data", BUNDLED_DAY_PROFILE))
+    return DayProfile(read_table(path, DAY_PROFILE_COLUMNS, day_profile_row, "day_profile"))

@@ -5,7 +5,7 @@ import math
 
 from fleetfreq.grid import CALIFORNIA_LOW_INERTIA_MIX
 from fleetfreq.simulator import (
-    DAY_PROFILE_HEADER,
+    DAY_PROFILE_COLUMNS,
     DayProfile,
     day_profile_row,
     day_profile_values,
@@ -36,12 +36,12 @@ def synthetic_california_day(solar_peak_mw: float = 6000.0) -> DayProfile:
             wind_solar=round(base["wind_solar"] + solar, 6),
             natural_gas=round(base["natural_gas"] - solar, 6),
         )
-        rows.append(day_profile_row([clock, *powers.values()]))
+        rows.append(day_profile_row(clock, *powers.values()))
     return DayProfile(tuple(rows))
 
 
 def day_profile_csv_text(day: DayProfile) -> str:
     """Render a day profile in its CSV interchange format."""
-    lines = [",".join(DAY_PROFILE_HEADER)]
+    lines = [",".join(DAY_PROFILE_COLUMNS)]
     lines.extend(",".join(f"{v:.6f}" for v in day_profile_values(row)) for row in day.rows)
     return "\n".join(lines) + "\n"

@@ -260,7 +260,8 @@ def test_non_finite_csv_number_exit_2_naming_the_row(tmp_path, capsys, kind, val
             f"source,h_seconds,power_mw\ngas,{value},10000\nwind,0,10000\n",
             encoding="utf-8",
         )
-        args, row = ["simulate", "--out", str(out), "--mix", str(path)], "data row 1"
+        args = ["simulate", "--out", str(out), "--mix", str(path)]
+        row, column = "data row 1", "h_seconds"
     else:
         lines = day_profile_csv_text(bundled_day_profile()).splitlines()
         cells = lines[5].split(",")
@@ -268,10 +269,12 @@ def test_non_finite_csv_number_exit_2_naming_the_row(tmp_path, capsys, kind, val
         lines[5] = ",".join(cells)
         path = tmp_path / "day.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        args, row = daily_args(out, ["--day-profile", str(path)]), "data row 5"
+        args = daily_args(out, ["--day-profile", str(path)])
+        row, column = "data row 5", "wind_solar_mw"
     assert main(args) == 2
     err = capsys.readouterr().err
-    assert path.name in err and row in err and "must be finite" in err
+    assert path.name in err and row in err
+    assert f"{column} must be a finite number, got {value}" in err
     assert not out.exists()
 
 

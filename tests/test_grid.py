@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fleetfreq.config import mix_from_value
 from fleetfreq.grid import (
     CALIFORNIA_LOW_INERTIA_MIX,
     GenerationMix,
@@ -15,7 +16,6 @@ from fleetfreq.grid import (
     effective_inertia,
     grid_from_mix,
     grid_from_preset,
-    load_mix_csv,
     steady_state_deviation,
     _rhs,
 )
@@ -260,7 +260,7 @@ def test_load_mix_csv_roundtrip(tmp_path):
         "wind,0,2000\n",
         encoding="utf-8",
     )
-    mix = load_mix_csv(path)
+    mix = mix_from_value(path)
     assert [s.name for s in mix.sources] == ["gas", "wind"]
     assert mix.total_power_mw == 10000.0
     assert effective_inertia(mix) == pytest.approx(4.9 * 0.8)
@@ -270,7 +270,7 @@ def test_load_mix_csv_bad_header(tmp_path):
     path = tmp_path / "mix.csv"
     path.write_text("name,h,mw\ngas,4.9,8000\n", encoding="utf-8")
     with pytest.raises(ValueError, match="expected header"):
-        load_mix_csv(path)
+        mix_from_value(path)
 
 
 def test_load_mix_csv_bad_row_named(tmp_path):
@@ -279,4 +279,4 @@ def test_load_mix_csv_bad_row_named(tmp_path):
         "source,h_seconds,power_mw\ngas,4.9,8000\nwind,0,-5\n", encoding="utf-8"
     )
     with pytest.raises(ValueError, match="data row 2"):
-        load_mix_csv(path)
+        mix_from_value(path)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fleetfreq.config import load_config_file, scenario_from_config
+from fleetfreq.config import day_profile_from_value, load_config_file, scenario_from_config
 from fleetfreq.controller import ControlMode, ControllerConfig
 from fleetfreq.fleet import (
     ChargingStrategy,
@@ -25,7 +25,6 @@ from fleetfreq.simulator import (
     bundled_day_profile,
     default_scenario,
     evaluate_scenarios,
-    load_day_profile_csv,
     scenario_grid,
     simulate,
 )
@@ -407,21 +406,21 @@ def test_day_profile_csv_duplicate_clock(tmp_path):
     path = tmp_path / "day.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match="duplicate clock_min"):
-        load_day_profile_csv(path)
+        day_profile_from_value(path)
 
 
 def test_day_profile_csv_bad_header(tmp_path):
     path = tmp_path / "day.csv"
     path.write_text("clock,gas\n0,10\n", encoding="utf-8")
     with pytest.raises(ValueError, match="expected header"):
-        load_day_profile_csv(path)
+        day_profile_from_value(path)
 
 
 def test_day_profile_csv_roundtrip(tmp_path):
     day = synthetic_california_day()
     path = tmp_path / "day.csv"
     path.write_text(day_profile_csv_text(day), encoding="utf-8")
-    assert load_day_profile_csv(path) == day
+    assert day_profile_from_value(path) == day
 
 
 def fast_scan_base():
