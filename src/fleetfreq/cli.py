@@ -20,7 +20,6 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .config import (
-    ConfigError,
     ScenarioAxes,
     canonical_json,
     day_profile_from_value,
@@ -35,7 +34,7 @@ from .config import (
 )
 from .fleet import FleetConfig, InfeasibleChargingWindow, ProfileSettings, charging_profile
 from .grid import CALIFORNIA_LOW_INERTIA_MIX, INERTIA_PRESETS
-from .metrics import FrequencyMetrics
+from .metrics import FrequencyMetrics, MetricsConfig
 from .simulator import (
     IntegrationError,
     Scenario,
@@ -140,17 +139,20 @@ def _h_preset(name: str) -> dict:
     }
 
 
-_SCENARIO_FLAGS = (
+_TIME_FLAGS = (
     Flag("--step", "event", "step_s", _number, "integration step in seconds"),
     Flag("--horizon", "event", "horizon_s", _number, "simulation horizon in seconds"),
+)
+# daily has no inertia flags: each day-profile row sets its cell's mix.
+_INERTIA_FLAGS = (
     Flag(
         "--h-preset", "grid", None, _h_preset,
         "effective-inertia preset for the bundled California mix (h_eff_s, s_base_mw)",
         tuple(INERTIA_PRESETS),
     ),
     Flag("--mix", None, "mix", str, "generation mix CSV (source,h_seconds,power_mw)"),
-    Flag("--clock", "event", "clock_min", _number, "time of day, HH:MM or minutes"),
 )
+_CLOCK = Flag("--clock", "event", "clock_min", _number, "time of day, HH:MM or minutes")
 _STRATEGY = Flag(
     "--strategy", "fleet", "strategy", str, "charging strategy (immediate|delayed|constant)"
 )
@@ -159,7 +161,9 @@ _MODES = "comma-separated modes (v1g,v2g)"
 
 FLAGS: dict[str, tuple[Flag, ...]] = {
     "simulate": (
-        *_SCENARIO_FLAGS,
+        *_TIME_FLAGS,
+        *_INERTIA_FLAGS,
+        _CLOCK,
         _STRATEGY,
         Flag("--mode", "controller", "mode", str, "control mode (v1g|v2g)"),
         Flag(
@@ -168,13 +172,16 @@ FLAGS: dict[str, tuple[Flag, ...]] = {
         ),
     ),
     "sweep": (
-        *_SCENARIO_FLAGS,
+        *_TIME_FLAGS,
+        *_INERTIA_FLAGS,
+        _CLOCK,
         Flag("--levels", "sweep", "levels", _fractions, _PERCENTS),
         Flag("--modes", "sweep", "modes", _items, _MODES),
         Flag("--strategy", "sweep", "strategies", _items, "comma-separated strategies"),
     ),
     "daily": (
-        *_SCENARIO_FLAGS,
+        *_TIME_FLAGS,
+        _CLOCK,
         _STRATEGY,
         Flag("--levels", "daily", "levels", _fractions, _PERCENTS),
         Flag("--modes", "daily", "modes", _items, _MODES),
@@ -214,7 +221,7 @@ def _grid(section: str, base: Scenario, *axes, **kwargs) -> list[Scenario]:
     try:
         return scenario_grid(base, *axes, **kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}") from None
+        raise ValueError(f"{section}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +267,7 @@ def _scenario_id(s: Scenario, with_clock: bool) -> str:
 
 
 def _write_grid(
-    args, command: str, echo: dict, scenarios: list[Scenario], metric_cfg: dict
+    args, command: str, echo: dict, scenarios: list[Scenario], settings: MetricsConfig
 ) -> int:
     """Evaluate a scenario grid and write one metrics row per cell, in grid order.
 
@@ -272,12 +279,12 @@ def _write_grid(
     ids = [_scenario_id(s, with_clock=command == "daily") for s in scenarios]
     shared = [sid for sid, n in Counter(ids).items() if n > 1]
     if shared:
-        raise ConfigError(
+        raise ValueError(
             f"grid cells share scenario_id {shared[0]!r}: levels must differ by "
             "a whole percent and modes and strategies must not repeat"
         )
     try:
-        results = evaluate_scenarios(scenarios, **metric_cfg)
+        results = evaluate_scenarios(scenarios, settings)
     except IntegrationError as exc:
         exc.args = (f"{ids[exc.cell]}: {exc}",)
         raise
@@ -288,20 +295,20 @@ def _write_grid(
 def cmd_sweep(args) -> int:
     cfg = _load_cfg(args)
     base = scenario_from_config(cfg)
-    metric_cfg = metrics_from_config(cfg)
+    settings = metrics_from_config(cfg)
     axes = from_section(_section(cfg, "sweep"), ScenarioAxes(), "sweep")
     scenarios = _grid("sweep", base, axes.levels, axes.modes, axes.strategies)
 
     echo = scenario_to_config(base)
-    echo["metrics"] = metric_cfg
+    echo["metrics"] = to_section(settings)
     echo["sweep"] = to_section(axes)
-    return _write_grid(args, "sweep", echo, scenarios, metric_cfg)
+    return _write_grid(args, "sweep", echo, scenarios, settings)
 
 
 def cmd_daily(args) -> int:
     cfg = _load_cfg(args)
     base = scenario_from_config(cfg)
-    metric_cfg = metrics_from_config(cfg)
+    settings = metrics_from_config(cfg)
     daily_cfg = dict(_section(cfg, "daily"))
     day_value = daily_cfg.pop("day_profile", None)
     axes = from_section(daily_cfg, ScenarioAxes(), "daily", ("levels", "modes"))
@@ -313,10 +320,10 @@ def cmd_daily(args) -> int:
     scenarios = _grid("daily", base, axes.levels, axes.modes, day=day)
 
     echo = scenario_to_config(base)
-    echo["metrics"] = metric_cfg
+    echo["metrics"] = to_section(settings)
     echo["daily"] = to_section(axes, ("levels", "modes"))
     echo["daily"]["day_profile"] = day_profile_to_value(day)
-    return _write_grid(args, "daily", echo, scenarios, metric_cfg)
+    return _write_grid(args, "daily", echo, scenarios, settings)
 
 
 def cmd_profile(args) -> int:
@@ -382,9 +389,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"fleetfreq: config error: {exc}", file=sys.stderr)
-        return 2
     except InfeasibleChargingWindow as exc:
         print(f"fleetfreq: infeasible charging window: {exc}", file=sys.stderr)
         return 3

@@ -42,26 +42,22 @@ EVENT_KEYS = ("disturbance_mw", "event_time_s", "clock_min", "horizon_s", "step_
 CLOCK_FIELDS = {"clock_min", "shift_start_min", "shift_end_min"}
 
 
-class ConfigError(ValueError):
-    """A configuration file or flag value is invalid."""
-
-
 def parse_clock_min(value) -> float:
     """Accept minutes-since-midnight or an HH:MM string."""
     if isinstance(value, str):
         parts = value.split(":")
         if len(parts) != 2:
-            raise ConfigError(f"bad clock {value!r}: expected HH:MM or minutes")
+            raise ValueError(f"bad clock {value!r}: expected HH:MM or minutes")
         try:
             hours, minutes = int(parts[0]), int(parts[1])
         except ValueError as exc:
-            raise ConfigError(f"bad clock {value!r}: {exc}") from exc
+            raise ValueError(f"bad clock {value!r}: {exc}") from exc
         if not (0 <= hours < 24 and 0 <= minutes < 60):
-            raise ConfigError(f"bad clock {value!r}: out of range")
+            raise ValueError(f"bad clock {value!r}: out of range")
         return 60.0 * hours + float(minutes)
     clock = finite_number(value, "clock")
     if not 0.0 <= clock < 1440.0:
-        raise ConfigError(f"clock {clock:g} outside [0, 1440) minutes")
+        raise ValueError(f"clock {clock:g} outside [0, 1440) minutes")
     return clock
 
 
@@ -74,7 +70,7 @@ def _section(cfg: dict, name: str) -> dict:
     if value is None:
         return {}
     if not isinstance(value, dict):
-        raise ConfigError(f"section {name!r} must be an object")
+        raise ValueError(f"section {name!r} must be an object")
     return value
 
 
@@ -97,13 +93,6 @@ class ScenarioAxes:
     )
 
 
-def _parsed(parse, value, where: str):
-    try:
-        return parse(value)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-
-
 def _coerce(tp, value, where: str):
     """A JSON value as a field of type tp."""
     if tp is float:
@@ -111,18 +100,24 @@ def _coerce(tp, value, where: str):
     if tp is int:
         number = finite_number(value, where)
         if not number.is_integer():
-            raise ConfigError(f"{where} must be an integer, got {value!r}")
+            raise ValueError(f"{where} must be an integer, got {value!r}")
         return int(number)
     if tp is bool:
         if not isinstance(value, bool):
-            raise ConfigError(f"{where} must be true or false, got {value!r}")
+            raise ValueError(f"{where} must be true or false, got {value!r}")
         return value
     if get_origin(tp) is list:
         if not isinstance(value, list):
-            raise ConfigError(f"{where} must be a list, got {value!r}")
+            raise ValueError(f"{where} must be a list, got {value!r}")
         (item,) = get_args(tp)
         return [_coerce(item, v, f"{where}[{i}]") for i, v in enumerate(value)]
-    return _parsed(_ENUM_PARSERS[tp], value, where)
+    # An enum: ChargingStrategy or ControlMode, by its value in any case.
+    try:
+        return tp(str(value).strip().lower())
+    except ValueError:
+        noun = "strategy" if tp is ChargingStrategy else "mode"
+        valid = ", ".join(member.value for member in tp)
+        raise ValueError(f"{where}: unknown {noun} {value!r} (valid: {valid})") from None
 
 
 def from_section(section: dict, base, where: str, names=None):
@@ -133,24 +128,27 @@ def from_section(section: dict, base, where: str, names=None):
     parse_clock_min, and every other value is coerced by its field's type.
     """
     if not isinstance(section, dict):
-        raise ConfigError(f"section {where!r} must be an object")
+        raise ValueError(f"section {where!r} must be an object")
     hints = get_type_hints(type(base))
     known = names or [f.name for f in fields(base)]
     values = {}
     for key, value in section.items():
         if key not in known:
-            raise ConfigError(f"unknown key {key!r} in {where}")
+            raise ValueError(f"unknown key {key!r} in {where}")
         at = f"{where}.{key}"
         if is_dataclass(hints[key]):
             values[key] = from_section(value, getattr(base, key), at)
         elif key in CLOCK_FIELDS:
-            values[key] = _parsed(parse_clock_min, value, at)
+            try:
+                values[key] = parse_clock_min(value)
+            except ValueError as exc:
+                raise ValueError(f"{at}: {exc}") from None
         else:
             values[key] = _coerce(hints[key], value, at)
     try:
         return replace(base, **values)
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def to_section(obj, names=None) -> dict:
@@ -191,29 +189,6 @@ def day_profile_from_value(value) -> DayProfile:
     )
 
 
-# ---------------------------------------------------------------------------
-# parsing helpers
-
-
-def parse_strategy(value) -> ChargingStrategy:
-    try:
-        return ChargingStrategy(str(value).strip().lower())
-    except ValueError:
-        valid = ", ".join(s.value for s in ChargingStrategy)
-        raise ConfigError(f"unknown strategy {value!r} (valid: {valid})") from None
-
-
-def parse_mode(value) -> ControlMode:
-    try:
-        return ControlMode(str(value).strip().lower())
-    except ValueError:
-        valid = ", ".join(m.value for m in ControlMode)
-        raise ConfigError(f"unknown mode {value!r} (valid: {valid})") from None
-
-
-_ENUM_PARSERS = {ControlMode: parse_mode, ChargingStrategy: parse_strategy}
-
-
 KNOWN_SECTIONS = {
     "grid",
     "mix",
@@ -232,7 +207,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise ConfigError(f"repeats key {key!r}")
+            raise ValueError(f"repeats key {key!r}")
         obj[key] = value
     return obj
 
@@ -242,16 +217,16 @@ def load_config_file(path: str | Path) -> dict:
         with Path(path).open(encoding="utf-8") as fh:
             cfg = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    except ConfigError as exc:
-        raise ConfigError(f"config {path} {exc}") from None
+        raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # a repeated key, or text that is not UTF-8
+        raise ValueError(f"config {path} {exc}") from None
     if not isinstance(cfg, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
+        raise ValueError(f"config {path} must be a JSON object")
     for key in cfg:
         if key not in KNOWN_SECTIONS:
-            raise ConfigError(f"unknown config section {key!r}")
+            raise ValueError(f"unknown config section {key!r}")
     return cfg
 
 
@@ -278,16 +253,16 @@ def scenario_from_config(cfg: dict) -> Scenario:
     for key in ("h_eff_s", "s_base_mw"):
         given, used = getattr(base.grid, key), getattr(derived, key)
         if key in grid and given != used:
-            raise ConfigError(
+            raise ValueError(
                 f"grid.{key} is {given!r}, but the mix gives {used!r}: "
                 "drop one of them or make them equal"
             )
     return from_section(_section(cfg, "event"), base, "event", EVENT_KEYS)
 
 
-def metrics_from_config(cfg: dict) -> dict:
-    """Keyword arguments of evaluate_scenarios, from the "metrics" section."""
-    return to_section(from_section(_section(cfg, "metrics"), MetricsConfig(), "metrics"))
+def metrics_from_config(cfg: dict) -> MetricsConfig:
+    """The metric settings of evaluate_scenarios, from the "metrics" section."""
+    return from_section(_section(cfg, "metrics"), MetricsConfig(), "metrics")
 
 
 def scenario_to_config(scenario: Scenario) -> dict:

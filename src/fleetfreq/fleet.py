@@ -147,7 +147,7 @@ def charging_window(strategy: ChargingStrategy, vehicle: VehicleClass) -> Chargi
             f"dwell (deficit {energy - deliverable:.1f} kWh)"
         )
     if strategy is ChargingStrategy.CONSTANT_MINIMUM_POWER:
-        power = energy / dwell_h if dwell_h > 0.0 else 0.0
+        power = energy / dwell_h
         return ChargingWindow(vehicle.shift_end_min, vehicle.shift_start_min, power)
     duration_min = energy / vehicle.charger_kw * 60.0
     if strategy is ChargingStrategy.IMMEDIATE:

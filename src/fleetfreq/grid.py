@@ -58,10 +58,7 @@ def effective_inertia(mix: GenerationMix) -> float:
 
     Inverter-interfaced sources enter with H = 0 and dilute the average.
     """
-    total = mix.total_power_mw
-    if total <= 0.0:
-        raise ValueError("effective inertia undefined for zero total power")
-    return math.fsum(s.inertia_s * s.power_mw for s in mix.sources) / total
+    return math.fsum(s.inertia_s * s.power_mw for s in mix.sources) / mix.total_power_mw
 
 
 def finite_number(value, where: str) -> float:
@@ -269,6 +266,4 @@ def steady_state_deviation(net_disturbance_pu: float, params: GridParameters) ->
     doubles as an independent oracle for the simulator's late-horizon state.
     """
     denom = params.damping_pu + 1.0 / params.droop_pu
-    if denom == 0.0:
-        raise ValueError("steady state undefined: D + 1/R must be nonzero")
     return params.f_nominal_hz * (-net_disturbance_pu / denom)

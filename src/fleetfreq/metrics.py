@@ -24,8 +24,8 @@ DEFAULT_TAIL_FRACTION = 0.05
 
 @dataclass(frozen=True)
 class MetricsConfig:
-    """The metric settings: the "metrics" config section and the keyword
-    arguments of evaluate and simulator.evaluate_scenarios."""
+    """The metric settings: the "metrics" config section, the keyword
+    arguments of evaluate and the settings of simulator.evaluate_scenarios."""
 
     rocof_window_s: float = DEFAULT_ROCOF_WINDOW_S
     settling_band_hz: float = DEFAULT_SETTLING_BAND_HZ

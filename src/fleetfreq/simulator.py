@@ -331,32 +331,29 @@ def _step_cells(cells: _Cell, dt: float, event_time_s: float, n_samples: int, ob
 
 class _MetricStreams:
     """What metrics.evaluate reads from a trajectory, gathered sample by
-    sample for a batch of cells without keeping their trajectories.
+    sample for a batch of cells on the time grid of `first` without keeping
+    their trajectories.
 
     Built before the batch runs, so that a metric setting the time grid
     cannot serve is rejected first.
     """
 
-    def __init__(
-        self,
-        dt: float,
-        n_samples: int,
-        event_time_s: float,
-        n_cells: int,
-        rocof_window_s: float,
-        tail_fraction: float,
-    ):
+    def __init__(self, first: Scenario, n_cells: int, settings: metrics_mod.MetricsConfig):
+        dt, event_time_s = first.step_s, first.event_time_s
         self.dt, self.event_time_s = dt, event_time_s
+        n_samples = int(round(first.horizon_s / dt)) + 1
         self.times = times = np.arange(n_samples) * dt
         self.f_min = np.full(n_cells, np.inf)
         self.i_min = np.zeros(n_cells, dtype=np.int64)
         # The highest sample after the current minimum; -inf while none.
         self.f_max_after = np.full(n_cells, -np.inf)
-        self.i0, self.i1, step = metrics_mod.rocof_window(times, event_time_s, rocof_window_s)
+        self.i0, self.i1, step = metrics_mod.rocof_window(
+            times, event_time_s, settings.rocof_window_s
+        )
         self.two_steps = 2.0 * step
         self.rocof = np.full(n_cells, np.inf)
         self.prev = self.prev2 = None
-        n_tail = metrics_mod.tail_count(n_samples, tail_fraction)
+        n_tail = metrics_mod.tail_count(n_samples, settings.tail_fraction)
         self.tail = np.empty((n_cells, n_tail))
         self.tail_start = n_samples - n_tail
         self.block = -(-n_samples // _SETTLING_BLOCKS)
@@ -437,58 +434,45 @@ class _MetricStreams:
 
 
 def evaluate_scenarios(
-    scenarios: list[Scenario],
-    *,
-    rocof_window_s: float = metrics_mod.DEFAULT_ROCOF_WINDOW_S,
-    settling_band_hz: float = metrics_mod.DEFAULT_SETTLING_BAND_HZ,
-    tail_fraction: float = metrics_mod.DEFAULT_TAIL_FRACTION,
+    scenarios: list[Scenario], settings: metrics_mod.MetricsConfig = metrics_mod.MetricsConfig()
 ) -> list[metrics_mod.FrequencyMetrics]:
     """Simulate and score a list of scenarios, preserving input order.
 
-    Every result equals metrics.evaluate(simulate(cell)) bit for bit. Cells
-    that share a time grid (step, horizon and event time) are stepped together
-    as arrays by the arithmetic of simulate, which is elementwise, so a
-    cell's result does not depend on the batch it runs in. All settings and
-    cells are checked before any cell runs. A divergence is reported as the
+    Every result equals metrics.evaluate(simulate(cell)) with the same
+    settings, bit for bit. The cells must share one time grid (step, horizon
+    and event time). They are stepped together as arrays by the arithmetic
+    of simulate, which is elementwise, so a cell's result does not depend on
+    the batch it runs in. The time grid, the settings and every cell are
+    checked before any cell runs. A divergence is reported as the
     IntegrationError of the first diverged cell in input order, with its
     index as the error's cell.
     """
-    metrics_mod.MetricsConfig(rocof_window_s, settling_band_hz, tail_fraction)  # checks them
-    groups: dict[tuple[float, float, float], list[int]] = {}
-    for i, s in enumerate(scenarios):
-        groups.setdefault((s.step_s, s.horizon_s, s.event_time_s), []).append(i)
-    runs = []
-    for (step_s, horizon_s, event_time_s), members in groups.items():
-        n_samples = int(round(horizon_s / step_s)) + 1
-        streams = _MetricStreams(
-            step_s, n_samples, event_time_s, len(members), rocof_window_s, tail_fraction
-        )
-        batch = _Cell(*(np.array(f) for f in zip(*(_cell(scenarios[i]) for i in members))))
-        runs.append((members, batch, streams))
-
-    results: list = [None] * len(scenarios)
-    diverged = []
-    for members, batch, streams in runs:
-        # A non-finite state stays non-finite under these updates, so one
-        # check after the last step finds every cell that simulate stops.
-        with np.errstate(over="ignore", invalid="ignore"):
-            state = _step_cells(
-                batch, streams.dt, streams.event_time_s, len(streams.times), streams
+    if not scenarios:
+        return []
+    grids = [(s.step_s, s.horizon_s, s.event_time_s) for s in scenarios]
+    for i, grid in enumerate(grids):
+        if grid != grids[0]:
+            raise ValueError(
+                "scenarios must share one time grid (step_s, horizon_s, event_time_s): "
+                f"scenario {i} has {grid}, scenario 0 has {grids[0]}"
             )
-        finite = np.isfinite(np.array(state)).all(axis=0)
-        if not finite.all():
-            diverged.append(members[int(np.argmin(finite))])
-            continue
-        for i, m in zip(members, streams.results(batch, settling_band_hz)):
-            results[i] = m
-    if diverged:
-        first = min(diverged)
+    streams = _MetricStreams(scenarios[0], len(scenarios), settings)
+    batch = _Cell(*(np.array(f) for f in zip(*map(_cell, scenarios))))
+    # A non-finite state stays non-finite under these updates, so one check
+    # after the last step finds every cell that simulate stops.
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = _step_cells(
+            batch, streams.dt, streams.event_time_s, len(streams.times), streams
+        )
+    finite = np.isfinite(np.array(state)).all(axis=0)
+    if not finite.all():
+        i = int(np.argmin(finite))
         try:
-            simulate(scenarios[first])
+            simulate(scenarios[i])
         except IntegrationError as exc:
-            raise IntegrationError(exc.step_index, exc.time_s, first) from None
+            raise IntegrationError(exc.step_index, exc.time_s, i) from None
         raise RuntimeError("grid kernel diverged where simulate did not")
-    return results
+    return streams.results(batch, settings.settling_band_hz)
 
 
 def scenario_grid(

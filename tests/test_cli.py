@@ -422,6 +422,18 @@ def test_daily_on_shift_equals_zero_participation(tmp_path):
             assert full[nadir_i] == none[nadir_i]
 
 
+@pytest.mark.parametrize("flag, value", [("--mix", "mix.csv"), ("--h-preset", "table2_weighted")])
+def test_daily_has_no_inertia_flags(tmp_path, capsys, flag, value):
+    # Each day-profile row sets its cell's mix, so these flags would change
+    # only the echoed header.
+    out = tmp_path / "daily.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(daily_args(out, [flag, value]))
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_daily_duplicate_clock_rejected(tmp_path, capsys):
     text = day_profile_csv_text(bundled_day_profile())
     lines = text.splitlines()

@@ -2,12 +2,13 @@
 controller coupling, grid evaluation against simulate, and the day-profile
 machinery."""
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fleetfreq import simulator
 from fleetfreq.config import day_profile_from_value, load_config_file, scenario_from_config
 from fleetfreq.controller import ControlMode, ControllerConfig
 from fleetfreq.fleet import (
@@ -17,7 +18,7 @@ from fleetfreq.fleet import (
     VehicleClass,
 )
 from fleetfreq.grid import CALIFORNIA_LOW_INERTIA_MIX, steady_state_deviation
-from fleetfreq.metrics import evaluate, nadir, rocof
+from fleetfreq.metrics import MetricsConfig, evaluate, nadir, rocof
 from fleetfreq.simulator import (
     DayProfile,
     DayProfileRow,
@@ -268,11 +269,11 @@ def test_batch_size_does_not_change_results():
     assert serial == batched
 
 
-def evaluate_in_batches(cells, size, **metric_cfg):
+def evaluate_in_batches(cells, size, settings):
     return [
         m
         for i in range(0, len(cells), size)
-        for m in evaluate_scenarios(cells[i : i + size], **metric_cfg)
+        for m in evaluate_scenarios(cells[i : i + size], settings)
     ]
 
 
@@ -315,61 +316,87 @@ def reserve_crossing_cells():
     return cells
 
 
-MIXED_METRICS = {"tail_fraction": 0.5, "settling_band_hz": 0.01}
+MIXED_METRICS = MetricsConfig(tail_fraction=0.5, settling_band_hz=0.01)
 
 
 def mixed_cells():
-    # A cell that never settles, a zero-disturbance cell that never leaves
-    # the band, and two time grids interleaved in one list.
+    # A cell that never settles, a V2G cell and a zero-disturbance cell that
+    # never leaves the band, on one time grid.
     short = default_scenario(horizon_s=2.0)
     cells = [
         short,
-        default_scenario(disturbance_mw=0.0, horizon_s=5.0, step_s=0.05),
         with_controller(short, participation=1.0, mode=ControlMode.V2G),
-        default_scenario(horizon_s=5.0, step_s=0.05),
         replace(short, disturbance_mw=0.0),
     ]
-    never, at_once = (evaluate(simulate(c), **MIXED_METRICS) for c in cells[:2])
+    never, at_once = (evaluate(simulate(c), **asdict(MIXED_METRICS)) for c in cells[::2])
     assert never.settling_time_s is None and at_once.settling_time_s == 0.0
     return cells
 
 
+def mixed_coarse_cells():
+    # The same settings on a coarser, longer time grid: no loss and a loss.
+    coarse = default_scenario(horizon_s=5.0, step_s=0.05)
+    return [replace(coarse, disturbance_mw=0.0), coarse]
+
+
 ORACLE_GRIDS = {
-    "reference_sweep": (reference_sweep_cells, {}),
-    "daily": (daily_cells, {}),
-    "latch_release": (latch_release_cells, {}),
-    "reserve_crossing": (reserve_crossing_cells, {}),
+    "reference_sweep": (reference_sweep_cells, MetricsConfig()),
+    "daily": (daily_cells, MetricsConfig()),
+    "latch_release": (latch_release_cells, MetricsConfig()),
+    "reserve_crossing": (reserve_crossing_cells, MetricsConfig()),
     "mixed": (mixed_cells, MIXED_METRICS),
+    "mixed_coarse": (mixed_coarse_cells, MIXED_METRICS),
 }
 
 
 @pytest.mark.parametrize("grid", list(ORACLE_GRIDS))
 def test_grid_evaluation_equals_simulate_at_any_batch_size(grid):
-    make_cells, metric_cfg = ORACLE_GRIDS[grid]
+    make_cells, settings = ORACLE_GRIDS[grid]
     cells = make_cells()
-    expected = [evaluate(simulate(c), **metric_cfg) for c in cells]
+    expected = [evaluate(simulate(c), **asdict(settings)) for c in cells]
     for size in (1, 7, len(cells)):
-        assert evaluate_in_batches(cells, size, **metric_cfg) == expected
+        assert evaluate_in_batches(cells, size, settings) == expected
 
 
 def test_grid_divergence_raises_the_first_diverged_cells_error():
-    fine = default_scenario(horizon_s=10.0)
+    # One time grid (a 1 s step, far past RK4's stability limit). The 1 MW
+    # loss comes first in the list but diverges later (step 223) than the
+    # 1.8e12 MW loss (step 214), so the error must be the first listed
+    # diverged cell's, not the earliest diverging one's.
     flat = default_scenario(disturbance_mw=0.0, step_s=1.0, horizon_s=600.0)
-    late = default_scenario(step_s=0.6, horizon_s=600.0)
-    early = default_scenario(step_s=1.0, horizon_s=600.0)
-    # The step 1.0 group runs first, but the step 0.6 cell comes first in
-    # the list, so its error is the one reported.
-    cells = [flat, fine, late, early]
+    small = replace(flat, disturbance_mw=1.0)
+    huge = replace(flat, disturbance_mw=1.8e12)
+    cells = [flat, small, huge]
     with pytest.raises(IntegrationError) as cell_err:
-        simulate(late)
+        simulate(small)
+    with pytest.raises(IntegrationError) as huge_err:
+        simulate(huge)
+    assert huge_err.value.step_index < cell_err.value.step_index
     with pytest.raises(IntegrationError) as grid_err:
-        evaluate_scenarios(cells, rocof_window_s=2.0)
+        evaluate_scenarios(cells, MetricsConfig(rocof_window_s=2.0))
     assert str(grid_err.value) == str(cell_err.value)
     assert (grid_err.value.step_index, grid_err.value.time_s) == (
         cell_err.value.step_index,
         cell_err.value.time_s,
     )
-    assert grid_err.value.cell == cells.index(late)
+    assert grid_err.value.cell == cells.index(small)
+
+
+def test_grid_of_mixed_time_grids_raises_before_any_cell_runs(monkeypatch):
+    def no_stepping(*args):
+        raise AssertionError("a cell was stepped")
+
+    monkeypatch.setattr(simulator, "_step_cells", no_stepping)
+    base = default_scenario(horizon_s=10.0)
+    others = (
+        replace(base, step_s=0.02),
+        replace(base, horizon_s=5.0),
+        replace(base, event_time_s=1.0),
+    )
+    for other in others:
+        with pytest.raises(ValueError, match=r"one time grid.*scenario 2 has"):
+            evaluate_scenarios([base, base, other, base])
+    assert evaluate_scenarios([]) == []
 
 
 # ---------------------------------------------------------------------------
