@@ -143,7 +143,8 @@ _TIME_FLAGS = (
     Flag("--step", "event", "step_s", _number, "integration step in seconds"),
     Flag("--horizon", "event", "horizon_s", _number, "simulation horizon in seconds"),
 )
-# daily has no inertia flags: each day-profile row sets its cell's mix.
+# daily has no inertia flags and no --clock: each day-profile row sets its
+# cell's mix and clock.
 _INERTIA_FLAGS = (
     Flag(
         "--h-preset", "grid", None, _h_preset,
@@ -181,7 +182,6 @@ FLAGS: dict[str, tuple[Flag, ...]] = {
     ),
     "daily": (
         *_TIME_FLAGS,
-        _CLOCK,
         _STRATEGY,
         Flag("--levels", "daily", "levels", _fractions, _PERCENTS),
         Flag("--modes", "daily", "modes", _items, _MODES),

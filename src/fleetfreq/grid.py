@@ -244,7 +244,9 @@ def _rhs(
 
     Positive disturbance means lost generation; positive command means grid
     support (shed load and/or injection). The mean SoC derivative is owned
-    by the fleet coupling in the simulator. Elementwise, like _rk4_step.
+    by the fleet coupling in the simulator. Elementwise: the simulator's
+    affine RK4 map reads the model's matrices from it, for one cell in
+    floats or for a batch in arrays.
     """
     # Swing: 2H d(df)/dt = p_mech + p_ev - disturbance - D*df
     # Governor: TG d(pg)/dt = -df/R - pg

@@ -422,10 +422,13 @@ def test_daily_on_shift_equals_zero_participation(tmp_path):
             assert full[nadir_i] == none[nadir_i]
 
 
-@pytest.mark.parametrize("flag, value", [("--mix", "mix.csv"), ("--h-preset", "table2_weighted")])
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--mix", "mix.csv"), ("--h-preset", "table2_weighted"), ("--clock", "03:00")],
+)
 def test_daily_has_no_inertia_flags(tmp_path, capsys, flag, value):
-    # Each day-profile row sets its cell's mix, so these flags would change
-    # only the echoed header.
+    # Each day-profile row sets its cell's mix and clock, so these flags
+    # would change only the echoed header.
     out = tmp_path / "daily.csv"
     with pytest.raises(SystemExit) as exc:
         main(daily_args(out, [flag, value]))

@@ -17,7 +17,7 @@ from fleetfreq.fleet import (
     InfeasibleChargingWindow,
     VehicleClass,
 )
-from fleetfreq.grid import CALIFORNIA_LOW_INERTIA_MIX, steady_state_deviation
+from fleetfreq.grid import CALIFORNIA_LOW_INERTIA_MIX, _rhs, steady_state_deviation
 from fleetfreq.metrics import MetricsConfig, evaluate, nadir, rocof
 from fleetfreq.simulator import (
     DayProfile,
@@ -223,6 +223,49 @@ def test_rk4_fourth_order_on_aligned_samples():
     m4 = float(np.min(n_h4.frequency_hz[::4]))
     ratio = abs(m - m2) / abs(m2 - m4)
     assert ratio >= 8.0
+
+
+def textbook_rk4_step(c, x, d, cmd, dt):
+    model = (c.two_h, c.damping, c.inv_droop, c.t_gov, c.t_turb, c.t_ev)
+
+    def rhs(y):
+        return np.array(_rhs(*y, d, cmd, *model))
+
+    k1 = rhs(x)
+    k2 = rhs(x + 0.5 * dt * k1)
+    k3 = rhs(x + 0.5 * dt * k2)
+    k4 = rhs(x + dt * k3)
+    return x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rk4_map_cells():
+    base = default_scenario()
+    daily = scenario_grid(base, [1.0], [ControlMode.V2G], day=bundled_day_profile())
+    return {
+        "default": base,
+        "daily_0730": daily[30],
+        "v2g_full": with_controller(base, mode=ControlMode.V2G, participation=1.0),
+    }
+
+
+@pytest.mark.parametrize("name", list(rk4_map_cells()))
+@pytest.mark.parametrize("dt", [0.001, 0.01, 0.2, 1.0])
+def test_affine_map_step_is_one_rk4_step(name, dt):
+    # The map is RK4 rewritten for a linear model with held inputs, so one
+    # step of it must agree with k1..k4 up to rounding, for random states,
+    # both disturbance values and every gate.
+    c = simulator._cell(rk4_map_cells()[name])
+    phi, offsets = simulator._affine_map(c, dt)
+    rng = np.random.default_rng(7)
+    for x in rng.uniform(-0.05, 0.05, size=(10, 4)):
+        for side, d in enumerate((0.0, c.dp_pu)):
+            for gate in range(4):
+                step = [
+                    row[0] * x[0] + row[1] * x[1] + row[2] * x[2] + row[3] * x[3] + o
+                    for row, o in zip(phi, offsets[side][gate])
+                ]
+                expected = textbook_rk4_step(c, x, d, c.commands[gate], dt)
+                assert step == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_divergence_detected():
