@@ -200,12 +200,13 @@ def fleet_state_at(clock_min: float, fleet: FleetConfig) -> FleetState:
     """Plugged count, per-vehicle charging power, and mean SoC at a clock time.
 
     The whole fleet is at the depot during the dwell and on the road during
-    the shift (synchronized schedules, no staggered arrivals).
+    the shift (synchronized schedules, no staggered arrivals). A fleet of no
+    vehicles draws no charging power.
     """
     vehicle = fleet.vehicle
     at_depot = _in_window(clock_min, vehicle.shift_end_min, vehicle.shift_start_min)
     plugged = fleet.n_vehicles if at_depot else 0
-    power = charging_power_at(clock_min, fleet.strategy, vehicle) if at_depot else 0.0
+    power = charging_power_at(clock_min, fleet.strategy, vehicle) if plugged else 0.0
     soc = soc_at(clock_min, fleet.strategy, vehicle)
     return FleetState(clock_min, plugged, power, soc)
 

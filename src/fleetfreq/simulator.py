@@ -484,12 +484,13 @@ def evaluate_scenarios(
 ) -> list[metrics_mod.FrequencyMetrics]:
     """Simulate and score a list of scenarios, preserving input order.
 
-    Every result equals metrics.evaluate(simulate(cell)) with the same
-    settings, bit for bit. The cells must share one time grid (step, horizon
-    and event time). They are stepped together as arrays by the arithmetic
-    of simulate, which is elementwise, so a cell's result does not depend on
-    the batch it runs in. The time grid, the settings and every cell are
-    checked before any cell runs. A divergence is reported as the
+    Every result equals metrics.evaluate(simulate(cell), settings), bit for
+    bit. The cells must share one time grid (step, horizon and event time).
+    They are stepped together as arrays by the arithmetic of simulate, which
+    is elementwise, so a cell's result does not depend on the batch it runs
+    in. The time grid, the settings and every cell are checked before any
+    cell runs; a rocof window that the time grid cannot hold is named as
+    metrics.rocof_window_s, its config key. A divergence is reported as the
     IntegrationError of the first diverged cell in input order, with its
     index as the error's cell.
     """
@@ -502,7 +503,10 @@ def evaluate_scenarios(
                 "scenarios must share one time grid (step_s, horizon_s, event_time_s): "
                 f"scenario {i} has {grid}, scenario 0 has {grids[0]}"
             )
-    streams = _MetricStreams(scenarios[0], len(scenarios), settings)
+    try:
+        streams = _MetricStreams(scenarios[0], len(scenarios), settings)
+    except ValueError as exc:  # the rocof window does not fit the time grid
+        raise ValueError(f"metrics.rocof_window_s: {exc}") from None
     batch = _Cell(*(np.array(f).T for f in zip(*map(_cell, scenarios))))
     # A non-finite state stays non-finite under these updates, so one check
     # after the last step finds every cell that simulate stops.

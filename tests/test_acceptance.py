@@ -24,7 +24,7 @@ from fleetfreq.grid import (
     INERTIA_PRESETS,
     effective_inertia,
 )
-from fleetfreq.metrics import rocof, settling_time
+from fleetfreq.metrics import MetricsConfig, evaluate
 from fleetfreq.simulator import (
     bundled_day_profile,
     default_scenario,
@@ -78,7 +78,7 @@ def daily_grid(reference_base):
 def test_criterion_1_initial_rocof_oracle():
     start = time.perf_counter()
     traj = simulate(default_scenario())
-    got = rocof(traj, 0.5)
+    got = evaluate(traj, MetricsConfig(rocof_window_s=0.5)).rocof_hz_per_s
     elapsed = time.perf_counter() - start
     oracle = -0.4254916792738275  # -(1800/19830) * 60 / (2 * 6.4)
     ok = abs(got - oracle) <= 1e-3 and elapsed < 1.0
@@ -206,7 +206,7 @@ def test_criterion_9_v2g_settles():
         controller=replace(scenario.controller, mode=ControlMode.V2G, participation=1.0),
     )
     traj = simulate(scenario)
-    got = settling_time(traj, 0.02)
+    got = evaluate(traj, MetricsConfig(settling_band_hz=0.02)).settling_time_s
     ok = got is not None and got <= 30.0
     report(9, ok, f"default v2g 100% settles into +/-0.02 Hz at {got:.2f} s (<= 30 s)")
 

@@ -384,6 +384,18 @@ def test_sweep_default_grid_is_30_cells(tmp_path):
     assert len(rows) == 30  # 3 strategies x 2 modes x 5 levels
 
 
+def test_sweep_of_an_empty_fleet_runs_at_the_charging_peak(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"fleet": {"n_vehicles": 0}}', encoding="utf-8")
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--config", str(cfg), "--out", str(out), "--levels", "0,100"]
+    assert main(args + ["--step", "0.05", "--horizon", "10"]) == 0
+    header, rows = read_rows(out)
+    assert len(rows) == 12  # 3 strategies x 2 modes x 2 levels
+    metrics = header.index("nadir_hz")
+    assert {tuple(r[metrics:]) for r in rows} == {tuple(rows[0][metrics:])}
+
+
 # ---------------------------------------------------------------------------
 # daily
 

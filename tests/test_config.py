@@ -48,6 +48,15 @@ REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "referen
         ('{"grid": {"h_eff_s": 5, "h_eff_s": 6}}', "key 'h_eff_s'"),
         ('{"profile": {"step_min": 7}}', "profile: step_min"),
         ('{"profile": {"step_min": -1}}', "profile: step_min"),
+        (
+            '{"event": {"horizon_s": 10}, "metrics": {"rocof_window_s": 100}}',
+            "metrics.rocof_window_s",
+        ),
+        (
+            '{"event": {"step_s": 0.05, "horizon_s": 10}, "metrics": {"rocof_window_s": 0.05}}',
+            "metrics.rocof_window_s",
+        ),
+        ('{"event": {"event_time_s": 9.9, "horizon_s": 10}}', "metrics.rocof_window_s"),
     ],
 )
 def test_bad_value_exits_2_naming_the_field(tmp_path, capsys, cfg_text, field):

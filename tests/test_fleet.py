@@ -241,6 +241,13 @@ def test_fleet_state_after_window():
     assert state.mean_soc == pytest.approx(1.0)
 
 
+def test_fleet_state_of_an_empty_fleet():
+    # Inside the immediate charging window: nothing plugged, so no power.
+    state = fleet_state_at(minutes("20:00"), FleetConfig(n_vehicles=0))
+    assert (state.plugged_count, state.charging_power_kw) == (0, 0.0)
+    assert state.mean_soc == fleet_state_at(minutes("20:00"), FleetConfig()).mean_soc
+
+
 def test_fleet_state_validation():
     with pytest.raises(ValueError):
         FleetState(0.0, 0, 50.0, 0.5)  # power without plugged vehicles

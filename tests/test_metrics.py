@@ -5,15 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fleetfreq.metrics import (
-    evaluate,
-    nadir,
-    overshoot,
-    rocof,
-    settling_time,
-    tail_mean,
-)
+from fleetfreq.metrics import MetricsConfig, evaluate
 from fleetfreq.simulator import Trajectory
+
+# A RoCoF window of two 0.01 s steps, which trajectories of 3 samples hold.
+SHORT = MetricsConfig(rocof_window_s=0.02)
 
 
 def make_traj(freqs, step=0.01, t0=0.0, event_time=0.0):
@@ -37,39 +33,44 @@ def make_traj(freqs, step=0.01, t0=0.0, event_time=0.0):
 
 
 def test_nadir_flat():
-    traj = make_traj(np.full(100, 60.0))
-    assert nadir(traj) == (60.0, 0.0)
+    m = evaluate(make_traj(np.full(100, 60.0)))
+    assert (m.nadir_hz, m.nadir_time_s) == (60.0, 0.0)
 
 
 def test_nadir_v_shape():
-    traj = make_traj([60.0, 59.5, 59.8])
-    value, time = nadir(traj)
-    assert value == 59.5
-    assert time == pytest.approx(0.01)
+    m = evaluate(make_traj([60.0, 59.5, 59.8]), SHORT)
+    assert m.nadir_hz == 59.5
+    assert m.nadir_time_s == pytest.approx(0.01)
 
 
 def test_nadir_tie_breaks_earliest():
-    traj = make_traj([60.0, 59.5, 59.9, 59.5, 60.0])
-    _, time = nadir(traj)
-    assert time == pytest.approx(0.01)
+    m = evaluate(make_traj([60.0, 59.5, 59.9, 59.5, 60.0]), SHORT)
+    assert m.nadir_time_s == pytest.approx(0.01)
 
 
 def test_nadir_empty_rejected():
     with pytest.raises(ValueError):
-        nadir(make_traj([]))
+        evaluate(make_traj([]), SHORT)
 
 
 @given(st.lists(st.floats(55.0, 61.0), min_size=1, max_size=60))
 def test_nadir_bounds_all_samples(freqs):
     traj = make_traj(freqs)
-    value, _ = nadir(traj)
+    if len(freqs) < 3:  # a centered difference needs three samples
+        with pytest.raises(ValueError):
+            evaluate(traj, SHORT)
+        return
+    value = evaluate(traj, SHORT).nadir_hz
     assert all(value <= f for f in freqs)
 
 
 def test_nadir_stable_under_higher_later_samples():
     base = [60.0, 59.4, 59.6]
     extended = base + [59.8, 60.0, 60.1]
-    assert nadir(make_traj(base))[0] == nadir(make_traj(extended))[0]
+    assert (
+        evaluate(make_traj(base), SHORT).nadir_hz
+        == evaluate(make_traj(extended), SHORT).nadir_hz
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -78,13 +79,13 @@ def test_nadir_stable_under_higher_later_samples():
 
 def test_rocof_flat_is_zero():
     traj = make_traj(np.full(200, 60.0))
-    assert rocof(traj, 0.5) == 0.0
+    assert evaluate(traj).rocof_hz_per_s == 0.0
 
 
 def test_rocof_linear_ramp_exact():
     times = np.arange(0, 300) * 0.01
     traj = make_traj(60.0 - 0.8 * times)
-    assert rocof(traj, 0.5) == pytest.approx(-0.8, rel=1e-9)
+    assert evaluate(traj).rocof_hz_per_s == pytest.approx(-0.8, rel=1e-9)
 
 
 def test_rocof_picks_steepest_segment_in_window():
@@ -92,15 +93,15 @@ def test_rocof_picks_steepest_segment_in_window():
     times = np.arange(0, 300) * 0.01
     freqs = np.where(times < 1.0, 60.0 - times, 59.0 - 0.2 * (times - 1.0))
     traj = make_traj(freqs)
-    assert rocof(traj, 0.5) == pytest.approx(-1.0, rel=1e-9)
+    assert evaluate(traj).rocof_hz_per_s == pytest.approx(-1.0, rel=1e-9)
 
 
 def test_rocof_window_validation():
     traj = make_traj(np.full(50, 60.0))
-    with pytest.raises(ValueError):
-        rocof(traj, 0.01)  # below two steps
-    with pytest.raises(ValueError):
-        rocof(traj, 10.0)  # extends past the trajectory
+    with pytest.raises(ValueError, match="two steps"):
+        evaluate(traj, MetricsConfig(rocof_window_s=0.01))
+    with pytest.raises(ValueError, match="outside the trajectory"):
+        evaluate(traj, MetricsConfig(rocof_window_s=10.0))
 
 
 def test_rocof_respects_event_time():
@@ -114,7 +115,7 @@ def test_rocof_respects_event_time():
     freqs[post] = freqs[199] - 0.3 * (times[post] - 2.0)  # slope -0.3 after
     freqs[260:] = freqs[259]
     traj = make_traj(freqs, event_time=2.0)
-    assert rocof(traj, 0.5) == pytest.approx(-0.3, rel=1e-6)
+    assert evaluate(traj).rocof_hz_per_s == pytest.approx(-0.3, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +126,7 @@ def test_overshoot_monotone_recovery_zero():
     t = np.arange(0, 6001) * 0.01
     f_ss = 59.74
     freqs = np.where(t < 30.0, 59.5 + (f_ss - 59.5) * t / 30.0, f_ss)
-    assert overshoot(make_traj(freqs)) == 0.0
+    assert evaluate(make_traj(freqs)).overshoot_hz == 0.0
 
 
 def test_overshoot_constructed_peak():
@@ -133,12 +134,12 @@ def test_overshoot_constructed_peak():
     freqs = np.full_like(t, 59.7)
     freqs[:1000] = 59.5  # nadir early
     freqs[2000:2100] = 59.75  # peak 0.05 above the settled tail
-    assert overshoot(make_traj(freqs)) == pytest.approx(0.05, abs=1e-9)
+    assert evaluate(make_traj(freqs)).overshoot_hz == pytest.approx(0.05, abs=1e-9)
 
 
 @given(st.lists(st.floats(55.0, 61.0), min_size=3, max_size=80))
 def test_overshoot_nonnegative(freqs):
-    assert overshoot(make_traj(freqs)) >= 0.0
+    assert evaluate(make_traj(freqs), SHORT).overshoot_hz >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +148,7 @@ def test_overshoot_nonnegative(freqs):
 
 def test_settling_flat_is_zero():
     traj = make_traj(np.full(100, 60.0))
-    assert settling_time(traj, 0.02) == 0.0
+    assert evaluate(traj).settling_time_s == 0.0
 
 
 def test_settling_exponential_decay_oracle():
@@ -156,19 +157,20 @@ def test_settling_exponential_decay_oracle():
     amplitude = 0.5
     freqs = 59.7 - amplitude * np.exp(-t / 2.0)
     band = amplitude * np.exp(-3.0)
-    got = settling_time(make_traj(freqs), band)
+    got = evaluate(make_traj(freqs), MetricsConfig(settling_band_hz=band)).settling_time_s
     assert got == pytest.approx(6.0, abs=0.011)
 
 
 def test_settling_never_within_band():
     t = np.arange(0, 2000) * 0.01
     freqs = 60.0 + 0.1 * np.sign(np.sin(2.0 * np.pi * t))
-    assert settling_time(make_traj(freqs), 0.001) is None
+    m = evaluate(make_traj(freqs), MetricsConfig(settling_band_hz=0.001))
+    assert m.settling_time_s is None
 
 
 def test_settling_band_validation():
-    with pytest.raises(ValueError):
-        settling_time(make_traj(np.full(50, 60.0)), 0.0)
+    with pytest.raises(ValueError, match="settling_band_hz"):
+        MetricsConfig(settling_band_hz=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +195,7 @@ def test_metrics_time_shift_invariance(shift):
 
 def test_tail_mean_window():
     freqs = np.concatenate([np.full(95, 59.0), np.full(5, 60.0)])
-    assert tail_mean(make_traj(freqs), 0.05) == 60.0
+    assert evaluate(make_traj(freqs)).f_steady_state_hz == 60.0
 
 
 def test_evaluate_bundles_all_metrics():

@@ -2,11 +2,12 @@
 controller coupling, grid evaluation against simulate, and the day-profile
 machinery."""
 
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hypothesis_settings, strategies as st
 
 from fleetfreq import simulator
 from fleetfreq.config import day_profile_from_value, load_config_file, scenario_from_config
@@ -16,9 +17,16 @@ from fleetfreq.fleet import (
     FleetConfig,
     InfeasibleChargingWindow,
     VehicleClass,
+    charging_window,
+    fleet_state_at,
 )
-from fleetfreq.grid import CALIFORNIA_LOW_INERTIA_MIX, _rhs, steady_state_deviation
-from fleetfreq.metrics import MetricsConfig, evaluate, nadir, rocof
+from fleetfreq.grid import (
+    CALIFORNIA_LOW_INERTIA_MIX,
+    GridParameters,
+    _rhs,
+    steady_state_deviation,
+)
+from fleetfreq.metrics import MetricsConfig, evaluate
 from fleetfreq.simulator import (
     DayProfile,
     DayProfileRow,
@@ -54,7 +62,7 @@ def test_no_disturbance_stays_flat():
 
 def test_initial_rocof_matches_closed_form():
     traj = simulate(default_scenario())
-    assert rocof(traj, 0.5) == pytest.approx(ROCOF_ORACLE_REPORTED, abs=1e-3)
+    assert evaluate(traj).rocof_hz_per_s == pytest.approx(ROCOF_ORACLE_REPORTED, abs=1e-3)
 
 
 def test_late_horizon_matches_steady_state_oracle():
@@ -71,12 +79,12 @@ def test_rocof_with_mix_derived_inertia():
     assert grid.h_eff_s == pytest.approx(3.9943267776096825, rel=1e-12)
     traj = simulate(scenario)
     oracle = -1800.0 / grid.s_base_mw * 60.0 / (2.0 * grid.h_eff_s)
-    assert rocof(traj, 0.5) == pytest.approx(oracle, abs=2e-3)
+    assert evaluate(traj).rocof_hz_per_s == pytest.approx(oracle, abs=2e-3)
 
 
 def test_latch_records_threshold_crossing():
     traj = simulate(default_scenario())
-    assert nadir(traj)[0] < 59.7  # the default event must reach the trigger
+    assert evaluate(traj).nadir_hz < 59.7  # the default event must reach the trigger
     assert traj.latch_time_s is not None
     i = int(np.searchsorted(traj.times_s, traj.latch_time_s))
     assert traj.frequency_hz[i] < 59.7
@@ -87,7 +95,7 @@ def test_rocof_doubles_when_inertia_halves():
     base = default_scenario()
     full = simulate(base)
     halved = simulate(replace(base, grid=replace(base.grid, h_eff_s=3.2)))
-    ratio = rocof(halved, 0.5) / rocof(full, 0.5)
+    ratio = evaluate(halved).rocof_hz_per_s / evaluate(full).rocof_hz_per_s
     assert ratio == pytest.approx(2.0, rel=0.01)
 
 
@@ -114,7 +122,7 @@ def test_pre_event_padding():
 def test_v2g_nadir_beats_v1g():
     v1g = simulate(with_controller(default_scenario(), mode=ControlMode.V1G, participation=1.0))
     v2g = simulate(with_controller(default_scenario(), mode=ControlMode.V2G, participation=1.0))
-    assert nadir(v2g)[0] > nadir(v1g)[0]
+    assert evaluate(v2g).nadir_hz > evaluate(v1g).nadir_hz
 
 
 def test_zero_participation_modes_identical():
@@ -141,7 +149,7 @@ def test_nadir_monotone_in_participation_and_mode():
 def test_nadir_monotone_in_inertia():
     low = simulate(default_scenario(grid=replace(default_scenario().grid, h_eff_s=3.9943267776096825)))
     high = simulate(default_scenario())
-    assert nadir(low)[0] <= nadir(high)[0]
+    assert evaluate(low).nadir_hz <= evaluate(high).nadir_hz
 
 
 def test_soc_guard_cuts_injection_mid_trajectory():
@@ -203,7 +211,7 @@ def test_reference_nadir_converges_under_step_halving(mode):
     base = scenario_from_config(load_config_file(REFERENCE_CONFIG))
     base = with_controller(base, mode=mode, participation=1.0)
     nadirs = {
-        dt: nadir(simulate(replace(base, step_s=dt)))[0] for dt in (0.02, 0.01, 0.0025)
+        dt: evaluate(simulate(replace(base, step_s=dt))).nadir_hz for dt in (0.02, 0.01, 0.0025)
     }
     gap_02, gap_01 = (abs(nadirs[dt] - nadirs[0.0025]) for dt in (0.02, 0.01))
     assert gap_01 < gap_02
@@ -371,7 +379,7 @@ def mixed_cells():
         with_controller(short, participation=1.0, mode=ControlMode.V2G),
         replace(short, disturbance_mw=0.0),
     ]
-    never, at_once = (evaluate(simulate(c), **asdict(MIXED_METRICS)) for c in cells[::2])
+    never, at_once = (evaluate(simulate(c), MIXED_METRICS) for c in cells[::2])
     assert never.settling_time_s is None and at_once.settling_time_s == 0.0
     return cells
 
@@ -396,7 +404,7 @@ ORACLE_GRIDS = {
 def test_grid_evaluation_equals_simulate_at_any_batch_size(grid):
     make_cells, settings = ORACLE_GRIDS[grid]
     cells = make_cells()
-    expected = [evaluate(simulate(c), **asdict(settings)) for c in cells]
+    expected = [evaluate(simulate(c), settings) for c in cells]
     for size in (1, 7, len(cells)):
         assert evaluate_in_batches(cells, size, settings) == expected
 
@@ -423,6 +431,133 @@ def test_grid_divergence_raises_the_first_diverged_cells_error():
         cell_err.value.time_s,
     )
     assert grid_err.value.cell == cells.index(small)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def oracle_cell(draw, base):
+    """A cell on the time grid of base, every value in its validated range.
+
+    Losses reach 1 pu: the deeper the dip, the more of the low bits of the
+    deviation df survive in f = f0 (1 + df), so a kernel that rounds
+    differently shows in the metrics. Time constants reach below the coarser
+    steps, and one cell in eight loses 1e290 pu, which overflows within the
+    horizon where a step lies beyond RK4's stability limit: some cells
+    diverge. Batteries are small,
+    the clock often lies in the charging window and the SoC reserve lies
+    near the initial SoC, so that the fleet responds and the reserve gate
+    can switch within the horizon. The threshold lies near the nadir
+    without response, so that the latch fires late, or not at all.
+    """
+    f_nominal = draw(st.sampled_from([50.0, 60.0]))
+    grid = GridParameters(
+        h_eff_s=draw(_floats(0.5, 10.0)),
+        s_base_mw=draw(_floats(5e3, 4e4)),
+        f_nominal_hz=f_nominal,
+        damping_pu=draw(_floats(0.0, 5.0)),
+        droop_pu=draw(_floats(0.01, 0.2)),
+        t_governor_s=draw(_floats(0.005, 2.0)),
+        t_turbine_s=draw(_floats(0.005, 2.0)),
+        t_ev_s=draw(_floats(0.005, 1.0)),
+    )
+    vehicle = VehicleClass(
+        battery_kwh=draw(_floats(5.0, 50.0)),
+        charger_kw=draw(_floats(50.0, 400.0)),
+        discharge_kw=draw(_floats(10.0, 400.0)),
+        soc_return=draw(_floats(0.0, 1.0)),
+    )
+    fleet = FleetConfig(
+        n_vehicles=draw(st.integers(0, 20_000)),
+        vehicle=vehicle,
+        strategy=draw(st.sampled_from(list(ChargingStrategy))),
+    )
+    window = charging_window(fleet.strategy, vehicle)
+    in_window = _floats(0.0, 1.0).map(
+        lambda u: (window.start_min + u * window.duration_min) % 1440.0
+    )
+    clock = draw(st.integers(0, 1439).map(float) | in_window)
+    soc0 = fleet_state_at(clock, fleet).mean_soc
+    reserve = min(1.0, max(0.0, soc0 + draw(_floats(-0.003, 0.001))))
+    fleet = replace(fleet, vehicle=replace(vehicle, soc_reserve=reserve))
+    loss_pu = 1e290 if draw(st.integers(0, 7)) == 0 else draw(_floats(0.0, 1.0))
+    cell = replace(
+        base,
+        grid=grid,
+        fleet=fleet,
+        clock_min=clock,
+        disturbance_mw=grid.s_base_mw * loss_pu,
+        controller=ControllerConfig(
+            threshold_hz=f_nominal - 0.5,
+            participation=draw(_floats(0.0, 1.0)),
+            mode=draw(st.sampled_from(list(ControlMode))),
+            latch_on=draw(st.booleans()),
+            v2g_includes_shed=draw(st.booleans()),
+        ),
+    )
+    try:
+        nadir_hz = float(simulate(with_controller(cell, participation=0.0)).frequency_hz.min())
+    except IntegrationError:
+        return cell
+    # An unstable step can swing the frequency below 0 Hz without diverging.
+    threshold = min(f_nominal - 1e-3, max(1.0, nadir_hz + draw(_floats(-0.005, 0.1))))
+    return with_controller(cell, threshold_hz=threshold)
+
+
+@st.composite
+def oracle_grids(draw):
+    """One time grid, metric settings that fit it, 1-12 cells on it and a
+    split of the cells into batches (True: a batch ends after that cell).
+
+    Horizons run from 1 to 20 s, at most 400 steps, which keeps the test
+    to a few seconds.
+    """
+    step = draw(st.sampled_from([0.01, 0.02, 0.05, 0.1, 0.25, 0.5]))
+    n_steps = draw(st.integers(max(10, round(1.0 / step)), min(400, round(20.0 / step))))
+    horizon = n_steps * step
+    window = draw(_floats(2.0 * step, min(2.0, horizon)))
+    # On a sample, where the step that starts there sees the loss, or between.
+    on_grid = st.integers(0, int((horizon - window) / step)).map(lambda k: k * step)
+    event_time = draw(on_grid | _floats(0.0, horizon - window))
+    base = default_scenario(step_s=step, horizon_s=horizon, event_time_s=event_time)
+    metrics = MetricsConfig(
+        rocof_window_s=window,
+        settling_band_hz=draw(_floats(1e-3, 0.1)),
+        tail_fraction=draw(_floats(1e-3, 1.0)),
+    )
+    cells = draw(st.lists(oracle_cell(base), min_size=1, max_size=12))
+    ends = draw(st.lists(st.booleans(), min_size=len(cells) - 1, max_size=len(cells) - 1))
+    return cells, metrics, [*ends, True]
+
+
+@hypothesis_settings(derandomize=True, deadline=None, max_examples=90)
+@given(oracle_grids())
+def test_grid_evaluation_equals_simulate_on_random_grids(grid):
+    cells, settings, ends = grid
+    expected = []
+    for c in cells:
+        try:
+            expected.append(evaluate(simulate(c), settings))
+        except IntegrationError as exc:
+            expected.append(exc)
+    start = 0
+    for stop in [i + 1 for i, end in enumerate(ends) if end]:
+        batch, want = cells[start:stop], expected[start:stop]
+        errors = [i for i, w in enumerate(want) if isinstance(w, IntegrationError)]
+        if errors:
+            with pytest.raises(IntegrationError) as got:
+                evaluate_scenarios(batch, settings)
+            first = want[errors[0]]
+            assert (got.value.step_index, got.value.time_s, got.value.cell) == (
+                first.step_index,
+                first.time_s,
+                errors[0],
+            )
+        else:
+            assert evaluate_scenarios(batch, settings) == want
+        start = stop
 
 
 def test_grid_of_mixed_time_grids_raises_before_any_cell_runs(monkeypatch):
@@ -518,7 +653,16 @@ def test_daily_scan_on_shift_equals_no_response():
     without = simulate(
         replace(with_controller(base, participation=0.0), mix=noon.mix, clock_min=720.0)
     )
-    assert nadir(with_fleet)[0] == nadir(without)[0]
+    assert evaluate(with_fleet).nadir_hz == evaluate(without).nadir_hz
+
+
+def test_empty_fleet_at_the_charging_peak_holds_its_soc():
+    base = fast_scan_base()
+    empty = replace(base, fleet=replace(base.fleet, n_vehicles=0))
+    traj = simulate(with_controller(empty, mode=ControlMode.V2G, participation=1.0))
+    assert np.all(traj.mean_soc == traj.mean_soc[0])
+    assert np.all(traj.p_ev_pu == 0.0)
+    assert traj.frequency_hz.tolist() == simulate(with_controller(base)).frequency_hz.tolist()
 
 
 def test_daily_scan_lower_inertia_deeper_nadir():
@@ -526,7 +670,7 @@ def test_daily_scan_lower_inertia_deeper_nadir():
     base = with_controller(fast_scan_base(), participation=0.0)
     noon = simulate(replace(base, mix=day.rows[48].mix, clock_min=1200.0))
     evening = simulate(replace(base, mix=day.rows[80].mix, clock_min=1200.0))
-    assert nadir(noon)[0] <= nadir(evening)[0]
+    assert evaluate(noon).nadir_hz <= evaluate(evening).nadir_hz
 
 
 def test_daily_scan_constant_mix_varies_only_with_fleet():
