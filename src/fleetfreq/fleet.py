@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 MINUTES_PER_DAY = 1440.0
 
@@ -231,6 +233,8 @@ def charging_profile(
     """The 24 h profile at settings.step_min spacing: clocks in [0, 1440),
     per-vehicle charging power in kW, fleet-aggregate load in MW, and
     per-vehicle SoC."""
+    import numpy as np
+
     step_min = settings.step_min
     clocks = np.arange(int(round(MINUTES_PER_DAY / step_min))) * step_min
     per_vehicle = np.array(

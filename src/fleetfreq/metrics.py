@@ -4,7 +4,8 @@ evaluate is the one definition of the metrics: nadir, worst rate of change
 of frequency in a post-event window, overshoot above the settled value, and
 settling time into a fixed band. The settled value is the mean of the
 trajectory tail so the metrics stay defined for any response configuration;
-the analytic equilibrium remains available separately as an oracle.
+the analytic equilibrium remains available separately as an oracle. numpy
+is imported by the functions that compute, not by importing this module.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 if TYPE_CHECKING:
+    import numpy as np
+
     from .simulator import Trajectory
 
 
@@ -58,6 +59,8 @@ def rocof_window(
     needs one sample on each side, so the first and last samples are never
     centers.
     """
+    import numpy as np
+
     if len(times) < 3:
         raise ValueError("rocof needs at least three samples")
     step = float(times[1] - times[0])
@@ -103,9 +106,13 @@ def evaluate(traj: Trajectory, settings: MetricsConfig = MetricsConfig()) -> Fre
       within settling_band_hz of the settled frequency to the end of the
       horizon; None if the last sample lies outside the band.
 
-    Needs at least three samples and a window that fits the trajectory.
+    Needs at least three samples and a window that fits the trajectory. The
+    series are read through np.asarray, which views simulate's array('d')
+    buffers without a copy.
     """
-    t, f = traj.times_s, traj.frequency_hz
+    import numpy as np
+
+    t, f = np.asarray(traj.times_s), np.asarray(traj.frequency_hz)
     i0, i1, step = rocof_window(t, traj.event_time_s, settings.rocof_window_s)
     i = int(np.argmin(f))
     f_ss = float(np.mean(f[-tail_count(len(f), settings.tail_fraction) :]))

@@ -8,17 +8,20 @@ one affine map per cell, built once from grid._rhs. Participation sweeps and
 the 96-interval daily nadir scan are both one scenario grid, whose cells are
 stepped together as numpy arrays by the same arithmetic, with results in
 input-grid order.
+
+simulate is pure Python and returns its series as array('d') buffers. numpy
+is imported inside the functions that step a grid or score it, so a single
+trajectory runs without loading it.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .controller import (
     ControlMode,
@@ -43,6 +46,9 @@ from .grid import (
     _rhs,
 )
 from . import metrics as metrics_mod
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BUNDLED_DAY_PROFILE = "california_day_synthetic.csv"
 
@@ -108,15 +114,17 @@ class Scenario:
 class Trajectory:
     """Uniformly sampled state time series of one simulation.
 
+    simulate gives the five series as array('d') buffers; np.asarray(series)
+    views one as a float64 array without a copy, for numpy operations.
     latch_time_s is the first sample time at which the latch was on (the
     trigger time), or None if it never switched on.
     """
 
-    times_s: np.ndarray
-    frequency_hz: np.ndarray
-    p_mech_pu: np.ndarray
-    p_ev_pu: np.ndarray
-    mean_soc: np.ndarray
+    times_s: array
+    frequency_hz: array
+    p_mech_pu: array
+    p_ev_pu: array
+    mean_soc: array
     latch_time_s: float | None
     event_time_s: float = 0.0
 
@@ -265,11 +273,8 @@ def simulate(scenario: Scenario) -> Trajectory:
     (p00, p01, p02, p03), (p10, p11, p12, p13) = phi[:2]
     (p20, p21, p22, p23), (p30, p31, p32, p33) = phi[2:]
 
-    times = np.arange(n_steps + 1) * dt
-    freq = np.empty(n_steps + 1)
-    p_mech_out = np.empty(n_steps + 1)
-    p_ev_out = np.empty(n_steps + 1)
-    soc_out = np.empty(n_steps + 1)
+    series = [array("d") for _ in range(5)]
+    put_t, put_f, put_pm, put_pev, put_soc = (buf.append for buf in series)
 
     df = pg = pm = pev = 0.0
     soc = c.soc0
@@ -283,10 +288,11 @@ def simulate(scenario: Scenario) -> Trajectory:
         triggered = latched(f, threshold_hz, triggered, latch_on)
         if triggered and latch_time is None:
             latch_time = t
-        freq[k] = f
-        p_mech_out[k] = pm
-        p_ev_out[k] = pev
-        soc_out[k] = soc
+        put_t(t)
+        put_f(f)
+        put_pm(pm)
+        put_pev(pev)
+        put_soc(soc)
         if k == n_steps:
             break
 
@@ -305,15 +311,7 @@ def simulate(scenario: Scenario) -> Trajectory:
         if not (isfinite(df) and isfinite(pg) and isfinite(pm) and isfinite(pev)):
             raise IntegrationError(k + 1, t + dt)
 
-    return Trajectory(
-        times_s=times,
-        frequency_hz=freq,
-        p_mech_pu=p_mech_out,
-        p_ev_pu=p_ev_out,
-        mean_soc=soc_out,
-        latch_time_s=latch_time,
-        event_time_s=event_time,
-    )
+    return Trajectory(*series, latch_time_s=latch_time, event_time_s=event_time)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +341,8 @@ def _step_cells(cells: _Cell, dt: float, event_time_s: float, n_samples: int, ob
     are elementwise IEEE multiplies and adds, so every cell gets the bits
     simulate gives it, whatever the batch.
     """
+    import numpy as np
+
     n = len(cells.f0)
     # phi_cols[j][i] is phi[i][j] of every cell. The offsets (per event side)
     # and the SoC rates are flat, so that entry 4 * cell + gate is the cell's.
@@ -381,10 +381,14 @@ class _MetricStreams:
     their trajectories.
 
     Built before the batch runs, so that a metric setting the time grid
-    cannot serve is rejected first.
+    cannot serve is rejected first. numpy is bound here, once per grid, for
+    the calls made at every sample.
     """
 
     def __init__(self, first: Scenario, n_cells: int, settings: metrics_mod.MetricsConfig):
+        import numpy as np
+
+        self.np = np
         dt, event_time_s = first.step_s, first.event_time_s
         self.dt, self.event_time_s = dt, event_time_s
         n_samples = int(round(first.horizon_s / dt)) + 1
@@ -408,6 +412,7 @@ class _MetricStreams:
         self.block_max = np.full((n_blocks, n_cells), -np.inf)
 
     def __call__(self, k: int, f: np.ndarray) -> None:
+        np = self.np
         lower = f < self.f_min
         self.f_min = np.minimum(self.f_min, f)
         self.i_min = np.where(lower, k, self.i_min)
@@ -424,6 +429,7 @@ class _MetricStreams:
 
     def results(self, cells: _Cell, band_hz: float) -> list[metrics_mod.FrequencyMetrics]:
         """The metrics of every cell, once all samples of `cells` were seen."""
+        np = self.np
         times = self.times
         f_ss = np.array([np.mean(row) for row in self.tail])
         # The last block holding a sample outside the band, or -1. Exact,
@@ -494,6 +500,8 @@ def evaluate_scenarios(
     IntegrationError of the first diverged cell in input order, with its
     index as the error's cell.
     """
+    import numpy as np
+
     if not scenarios:
         return []
     grids = [(s.step_s, s.horizon_s, s.event_time_s) for s in scenarios]

@@ -2,12 +2,16 @@
 across runs and worker counts, exit codes, and atomic output behavior."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fleetfreq
 from fleetfreq.cli import FLAGS, main
 from fleetfreq.config import day_profile_from_value
 from fleetfreq.controller import ControlMode
@@ -206,6 +210,42 @@ def test_simulate_bad_config_exit_2(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     assert "unknown key" in capsys.readouterr().err
     assert not out.exists()
+
+
+# Runs fleetfreq.cli.main(argv) in an interpreter where importing numpy
+# raises ImportError, and exits with its code.
+WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+import fleetfreq, fleetfreq.cli
+sys.exit(fleetfreq.cli.main(sys.argv[1:]))
+"""
+
+
+def run_without_numpy(*argv):
+    path = [str(Path(fleetfreq.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run(
+        [sys.executable, "-c", WITHOUT_NUMPY, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_simulate_runs_without_numpy(tmp_path):
+    # simulate and its exit-2 path load no numpy: only a grid, a metric or a
+    # profile does.
+    args = ["--config", str(REFERENCE_CONFIG), "--mode", "v2g", "--participation", "100"]
+    plain, bare = tmp_path / "plain.csv", tmp_path / "bare.csv"
+    assert main(["simulate", *args, "--out", str(plain)]) == 0
+    run = run_without_numpy("simulate", *args, "--out", str(bare))
+    assert run.returncode == 0, run.stderr
+    assert bare.read_bytes() == plain.read_bytes()
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"event": {"step_s": -1}}', encoding="utf-8")
+    run = run_without_numpy("simulate", "--config", str(cfg), "--out", str(tmp_path / "bad.csv"))
+    assert run.returncode == 2
+    assert "event: step_s must be > 0" in run.stderr
 
 
 def test_simulate_unwritable_out_exit_2(tmp_path):

@@ -43,7 +43,7 @@ def test_crossing_triggers_and_records_time():
     assert latched(59.69, THRESHOLD, False, True)
     # simulate records the first sample below the threshold.
     traj = simulate(default_scenario(horizon_s=2.0))
-    i = int(np.argmax(traj.frequency_hz < THRESHOLD))
+    i = int(np.argmax(np.asarray(traj.frequency_hz) < THRESHOLD))
     assert i > 0
     assert traj.latch_time_s == traj.times_s[i]
 
@@ -77,7 +77,7 @@ def test_latch_consistency_validated():
     }
     for name, scenario in runs.items():
         traj = simulate(scenario)
-        below = traj.frequency_hz < THRESHOLD
+        below = np.asarray(traj.frequency_hz) < THRESHOLD
         assert traj.frequency_hz[-1] >= THRESHOLD, name
         assert bool(below.any()) == (name != "never"), name
         if name == "never":

@@ -55,8 +55,8 @@ def with_controller(scenario, **kwargs):
 
 def test_no_disturbance_stays_flat():
     traj = simulate(default_scenario(disturbance_mw=0.0))
-    assert np.max(np.abs(traj.frequency_hz - 60.0)) <= 1e-9
-    assert np.all(traj.p_ev_pu == 0.0)
+    assert np.max(np.abs(np.asarray(traj.frequency_hz) - 60.0)) <= 1e-9
+    assert np.all(np.asarray(traj.p_ev_pu) == 0.0)
     assert traj.latch_time_s is None
 
 
@@ -110,7 +110,7 @@ def test_strong_v2g_overcompensation_overshoots():
 
 def test_pre_event_padding():
     traj = simulate(default_scenario(event_time_s=1.0))
-    pre = traj.frequency_hz[traj.times_s < 1.0]
+    pre = np.asarray(traj.frequency_hz)[np.asarray(traj.times_s) < 1.0]
     assert np.all(pre == 60.0)
     assert traj.frequency_hz[0] == 60.0
 
@@ -349,7 +349,7 @@ def latch_release_cells():
     base = with_controller(base, latch_on=False)
     cells = scenario_grid(base, [0.5, 1.0], list(ControlMode))
     # The frequency must cross back over the threshold, releasing the latch.
-    f = simulate(cells[-1]).frequency_hz
+    f = np.asarray(simulate(cells[-1]).frequency_hz)
     below = f < base.controller.threshold_hz
     assert np.any(below[:-1] & ~below[1:])
     return cells
@@ -498,7 +498,7 @@ def oracle_cell(draw, base):
         ),
     )
     try:
-        nadir_hz = float(simulate(with_controller(cell, participation=0.0)).frequency_hz.min())
+        nadir_hz = float(np.asarray(simulate(with_controller(cell, participation=0.0)).frequency_hz).min())
     except IntegrationError:
         return cell
     # An unstable step can swing the frequency below 0 Hz without diverging.
@@ -558,6 +558,25 @@ def test_grid_evaluation_equals_simulate_on_random_grids(grid):
         else:
             assert evaluate_scenarios(batch, settings) == want
         start = stop
+
+
+def test_metric_streams_scan_the_rocof_window_to_its_last_centre():
+    # The steepest centred difference inside the window lies about its last
+    # centre i1: a 0.5 Hz drop at sample i1 + 1, then a 5 Hz/s fall.
+    first = default_scenario(horizon_s=1.0, step_s=0.01, event_time_s=0.2)
+    settings = MetricsConfig(rocof_window_s=0.3)
+    streams = simulator._MetricStreams(first, 1, settings)
+    times = streams.times
+    i1 = streams.i1
+    f = np.where(np.arange(len(times)) > i1, 59.5 - 5.0 * (times - times[i1]), 60.0)
+    for k in range(len(f)):
+        streams(k, f[k : k + 1])
+    zeros = np.zeros(len(f))
+    traj = simulator.Trajectory(times, f, zeros, zeros, zeros, None, first.event_time_s)
+    reference = evaluate(traj, settings).rocof_hz_per_s
+    assert reference == pytest.approx((f[i1 + 1] - f[i1 - 1]) / 0.02)
+    assert reference < -25.0
+    assert float(streams.rocof[0]) == reference
 
 
 def test_grid_of_mixed_time_grids_raises_before_any_cell_runs(monkeypatch):
@@ -660,8 +679,8 @@ def test_empty_fleet_at_the_charging_peak_holds_its_soc():
     base = fast_scan_base()
     empty = replace(base, fleet=replace(base.fleet, n_vehicles=0))
     traj = simulate(with_controller(empty, mode=ControlMode.V2G, participation=1.0))
-    assert np.all(traj.mean_soc == traj.mean_soc[0])
-    assert np.all(traj.p_ev_pu == 0.0)
+    assert np.all(np.asarray(traj.mean_soc) == traj.mean_soc[0])
+    assert np.all(np.asarray(traj.p_ev_pu) == 0.0)
     assert traj.frequency_hz.tolist() == simulate(with_controller(base)).frequency_hz.tolist()
 
 
