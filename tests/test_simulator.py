@@ -560,6 +560,33 @@ def test_grid_evaluation_equals_simulate_on_random_grids(grid):
         start = stop
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 16, 10_000])
+@pytest.mark.parametrize("grid", list(ORACLE_GRIDS))
+def test_chunk_length_does_not_change_results(grid, size, monkeypatch):
+    monkeypatch.setattr(simulator, "_CHUNK_SAMPLES", size)
+    make_cells, settings = ORACLE_GRIDS[grid]
+    cells = make_cells()
+    assert evaluate_scenarios(cells, settings) == [evaluate(simulate(c), settings) for c in cells]
+
+
+def test_random_grids_in_chunks_of_two_samples(monkeypatch):
+    # The same derandomized grids, with a chunk edge at every other sample,
+    # so on either side of i0 - 1, i1 + 1, the tail start and the
+    # settling-block edges.
+    monkeypatch.setattr(simulator, "_CHUNK_SAMPLES", 2)
+    test_grid_evaluation_equals_simulate_on_random_grids()
+
+
+def streamed_rocof(first, settings, f, edges):
+    """The RoCoF that _MetricStreams folds from one cell's samples f, given
+    in chunks that start at 0 and at each of edges."""
+    streams = simulator._MetricStreams(first, 1, settings)
+    bounds = sorted({0, len(f), *edges})
+    for lo, hi in zip(bounds, bounds[1:]):
+        streams(lo, f[lo:hi, None])
+    return float(streams.rocof[0])
+
+
 def test_metric_streams_scan_the_rocof_window_to_its_last_centre():
     # The steepest centred difference inside the window lies about its last
     # centre i1: a 0.5 Hz drop at sample i1 + 1, then a 5 Hz/s fall.
@@ -569,14 +596,33 @@ def test_metric_streams_scan_the_rocof_window_to_its_last_centre():
     times = streams.times
     i1 = streams.i1
     f = np.where(np.arange(len(times)) > i1, 59.5 - 5.0 * (times - times[i1]), 60.0)
-    for k in range(len(f)):
-        streams(k, f[k : k + 1])
     zeros = np.zeros(len(f))
     traj = simulator.Trajectory(times, f, zeros, zeros, zeros, None, first.event_time_s)
     reference = evaluate(traj, settings).rocof_hz_per_s
     assert reference == pytest.approx((f[i1 + 1] - f[i1 - 1]) / 0.02)
     assert reference < -25.0
-    assert float(streams.rocof[0]) == reference
+    for edges in ([], [i1], [i1 + 1], [i1 - 1, i1 + 1], range(len(f))):
+        assert streamed_rocof(first, settings, f, edges) == reference
+
+
+def test_metric_streams_scan_the_rocof_window_from_its_first_centre():
+    # The steepest centred difference inside the window lies about its first
+    # centre i0, whose left neighbour a chunk edge can put in the chunk
+    # before: a 5 Hz/s fall up to sample i0 - 1, then a 0.55 Hz drop. The
+    # difference about i0 - 1, outside the window, is steeper still.
+    first = default_scenario(horizon_s=1.0, step_s=0.01, event_time_s=0.2)
+    settings = MetricsConfig(rocof_window_s=0.3)
+    streams = simulator._MetricStreams(first, 1, settings)
+    times = streams.times
+    i0 = streams.i0
+    f = np.where(np.arange(len(times)) < i0, 60.5 + 5.0 * (times[i0] - times), 60.0)
+    zeros = np.zeros(len(f))
+    traj = simulator.Trajectory(times, f, zeros, zeros, zeros, None, first.event_time_s)
+    reference = evaluate(traj, settings).rocof_hz_per_s
+    assert reference == pytest.approx((f[i0 + 1] - f[i0 - 1]) / 0.02)
+    assert (f[i0] - f[i0 - 2]) / 0.02 < reference < -25.0
+    for edges in ([], [i0], [i0 + 1], [i0 - 1, i0 + 1], range(len(f))):
+        assert streamed_rocof(first, settings, f, edges) == reference
 
 
 def test_grid_of_mixed_time_grids_raises_before_any_cell_runs(monkeypatch):
