@@ -9,7 +9,7 @@ the 96-interval daily nadir scan are both one scenario grid, whose cells are
 stepped together as numpy arrays by the same arithmetic, with results in
 input-grid order. The grid kernel updates its state in place and hands the
 metrics the frequencies of a chunk of samples at a time, which the metrics
-fold in with exact reductions.
+fold in with exact reductions, keeping only the RoCoF window and the tail.
 
 simulate is pure Python and returns its series as array('d') buffers. numpy
 is imported inside the functions that step a grid or score it, so a single
@@ -104,7 +104,10 @@ class Scenario:
         if not 0.0 <= self.clock_min < 1440.0:
             raise ValueError("clock_min must lie in [0, 1440)")
         if self.controller.threshold_hz >= self.grid.f_nominal_hz:
-            raise ValueError("threshold_hz must be below nominal frequency")
+            raise ValueError(
+                f"controller.threshold_hz ({self.controller.threshold_hz!r}) must be "
+                f"below grid.f_nominal_hz ({self.grid.f_nominal_hz!r})"
+            )
 
     def resolved_grid(self) -> GridParameters:
         if self.mix is None:
@@ -416,8 +419,9 @@ def _step_cells(cells: _Cell, dt: float, event_time_s: float, n_samples: int, ob
 class _MetricStreams:
     """What metrics.evaluate reads from a trajectory, folded in one chunk of
     samples at a time for a batch of cells on the time grid of `first`,
-    without keeping their trajectories. Every fold is an exact reduction (a
-    min, a max, a first argmin, a copy), so chunking does not change a bit.
+    keeping only the RoCoF window and the tail. Every fold is an exact
+    reduction (a min, a max, a first argmin, a copy), so chunking does not
+    change a bit.
 
     Built before the batch runs, so that a metric setting the time grid
     cannot serve is rejected first. numpy is bound here, once per grid, for
@@ -432,22 +436,17 @@ class _MetricStreams:
         self.dt, self.event_time_s = dt, event_time_s
         n_samples = int(round(first.horizon_s / dt)) + 1
         self.times = times = np.arange(n_samples) * dt
-        self.columns = np.arange(n_cells)
         self.f_min = np.full(n_cells, np.inf)
         self.i_min = np.zeros(n_cells, dtype=np.int64)
         # The highest sample after the current minimum; -inf while none.
         self.f_max_after = np.full(n_cells, -np.inf)
-        self.i0, self.i1, step = metrics_mod.rocof_window(
-            times, event_time_s, settings.rocof_window_s
-        )
-        self.two_steps = 2.0 * step
-        self.rocof = np.full(n_cells, np.inf)
-        # The two samples before the next chunk, for the centred differences
-        # that straddle a chunk edge.
-        self.carry = np.zeros((2, n_cells))
+        i0, i1, self.step = metrics_mod.rocof_window(times, event_time_s, settings.rocof_window_s)
         n_tail = metrics_mod.tail_count(n_samples, settings.tail_fraction)
+        # The samples kept per cell, as (first sample, cells x samples): the
+        # RoCoF window with its outer neighbours, and the tail.
+        self.window = np.empty((n_cells, i1 - i0 + 3))
         self.tail = np.empty((n_cells, n_tail))
-        self.tail_start = n_samples - n_tail
+        self.recorded = ((i0 - 1, self.window), (n_samples - n_tail, self.tail))
         self.block = -(-n_samples // _SETTLING_BLOCKS)
         n_blocks = -(-n_samples // self.block)
         self.block_min = np.full((n_blocks, n_cells), np.inf)
@@ -461,30 +460,16 @@ class _MetricStreams:
         lower = low < self.f_min
         if lower.any():
             first = f.argmin(axis=0)
-            # after[r] is the highest sample in the rows after r.
-            after = np.empty_like(f)
-            after[-1] = -np.inf
-            after[:-1] = np.maximum.accumulate(f[:0:-1], axis=0)[::-1]
-            self.f_max_after = np.where(
-                lower, after[first, self.columns], np.maximum(self.f_max_after, high)
-            )
+            after = np.where(np.arange(len(f))[:, None] > first, f, -np.inf).max(axis=0)
+            self.f_max_after = np.where(lower, after, np.maximum(self.f_max_after, high))
             self.i_min = np.where(lower, k0 + first, self.i_min)
             np.minimum(self.f_min, low, out=self.f_min)
         else:
             np.maximum(self.f_max_after, high, out=self.f_max_after)
-        # The centred differences about samples k - 1 for k in [lo, hi); no
-        # chunk past the window's last right neighbour i1 + 1 needs them. Row
-        # r of ext is sample k0 - 2 + r.
-        if k0 <= self.i1 + 1:
-            ext = np.concatenate((self.carry, f))
-            lo, hi = max(self.i0 + 1, k0), min(self.i1 + 2, k1)
+        for start, kept in self.recorded:
+            lo, hi = max(start, k0), min(start + kept.shape[1], k1)
             if lo < hi:
-                slopes = (ext[lo - k0 + 2 : hi - k0 + 2] - ext[lo - k0 : hi - k0]) / self.two_steps
-                np.minimum(self.rocof, slopes.min(axis=0), out=self.rocof)
-            self.carry = ext[-2:]
-        lo = max(self.tail_start, k0)
-        if lo < k1:
-            self.tail[:, lo - self.tail_start : k1 - self.tail_start] = f[lo - k0 :].T
+                kept[:, lo - start : hi - start] = f[lo - k0 : hi - k0].T
         for b in range(k0 // self.block, (k1 - 1) // self.block + 1):
             lo, hi = max(k0, b * self.block), min(k1, (b + 1) * self.block)
             if hi - lo < len(f):  # the chunk straddles a block edge
@@ -496,7 +481,11 @@ class _MetricStreams:
     def results(self, cells: _Cell, band_hz: float) -> list[metrics_mod.FrequencyMetrics]:
         """The metrics of every cell, once all samples of `cells` were seen."""
         np = self.np
-        times = self.times
+        n = len(self.times)
+        # evaluate's centred differences about the window's samples i0..i1.
+        w = self.window
+        slopes = w[:, 2:] - w[:, :-2]
+        slopes /= 2.0 * self.step
         f_ss = np.array([np.mean(row) for row in self.tail])
         # The last block holding a sample outside the band, or -1. Exact,
         # because rounding keeps f - f_ss monotone in f, so a block's extremes
@@ -508,49 +497,44 @@ class _MetricStreams:
             outside.any(axis=0), len(outside) - 1 - np.argmax(outside[::-1], axis=0), -1
         )
         ends_outside = np.abs(self.tail[:, -1] - f_ss) > band_hz
-        # The settling sample of the other cells lies in that block: replay
-        # them up to its end.
+        last_outside = np.where(ends_outside, n - 1, -1)
+        # The last sample outside the band of the other cells lies in that
+        # block: replay them up to its end.
         replay = np.flatnonzero((last_block >= 0) & ~ends_outside)
-        last_outside = np.full(len(f_ss), -1)
         if len(replay):
             replay_f_ss = f_ss[replay]
-            replay_last = np.full(len(replay), -1)
+            replay_last = last_outside[replay]
 
             def track(k0: int, f: np.ndarray) -> None:
-                nonlocal replay_last
                 out = np.abs(f - replay_f_ss) > band_hz
                 last = k0 + len(f) - 1 - np.argmax(out[::-1], axis=0)
-                replay_last = np.where(out.any(axis=0), last, replay_last)
+                np.copyto(replay_last, last, where=out.any(axis=0))
 
-            n_samples = min(len(times), (int(last_block[replay].max()) + 1) * self.block)
+            n_samples = min(n, (int(last_block[replay].max()) + 1) * self.block)
             subset = _Cell(*(field[..., replay] for field in cells))
             _step_cells(subset, self.dt, self.event_time_s, n_samples, track)
             last_outside[replay] = replay_last
 
-        results = []
-        for c in range(len(f_ss)):
-            if last_block[c] < 0:
-                settling = float(times[0])
-            elif ends_outside[c]:
-                settling = None
-            else:
-                settling = float(times[last_outside[c] + 1])
-            f_max_after = self.f_max_after[c]
-            results.append(
-                metrics_mod.FrequencyMetrics(
-                    nadir_hz=float(self.f_min[c]),
-                    nadir_time_s=float(times[self.i_min[c]]),
-                    rocof_hz_per_s=float(self.rocof[c]),
-                    overshoot_hz=(
-                        0.0
-                        if f_max_after == -np.inf
-                        else max(0.0, float(f_max_after - f_ss[c]))
-                    ),
-                    settling_time_s=settling,
-                    f_steady_state_hz=float(f_ss[c]),
-                )
+        times = self.times.tolist()
+        columns = zip(
+            self.f_min.tolist(),
+            self.i_min.tolist(),
+            slopes.min(axis=1).tolist(),
+            np.maximum(0.0, self.f_max_after - f_ss).tolist(),
+            (last_outside + 1).tolist(),
+            f_ss.tolist(),
+        )
+        return [
+            metrics_mod.FrequencyMetrics(
+                nadir_hz=nadir,
+                nadir_time_s=times[i],
+                rocof_hz_per_s=rocof,
+                overshoot_hz=overshoot,
+                settling_time_s=times[settled] if settled < n else None,
+                f_steady_state_hz=ss,
             )
-        return results
+            for nadir, i, rocof, overshoot, settled, ss in columns
+        ]
 
 
 def evaluate_scenarios(

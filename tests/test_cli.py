@@ -290,6 +290,27 @@ def test_simulate_checks_the_metrics_section(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "config, threshold, nominal",
+    [
+        ({"controller": {"threshold_hz": 60}}, "60.0", "60.0"),
+        ({"controller": {"threshold_hz": 61}}, "61.0", "60.0"),
+        ({"grid": {"f_nominal_hz": 1e-300}}, "59.7", "1e-300"),
+    ],
+    ids=["at", "above", "tiny-nominal"],
+)
+def test_threshold_at_or_above_nominal_names_both_keys(tmp_path, capsys, config, threshold, nominal):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert (
+        f"controller.threshold_hz ({threshold}) must be below grid.f_nominal_hz ({nominal})"
+        in capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("kind", ["mix", "day_profile"])
 def test_non_finite_csv_number_exit_2_naming_the_row(tmp_path, capsys, kind, value):

@@ -2,6 +2,7 @@
 controller coupling, grid evaluation against simulate, and the day-profile
 machinery."""
 
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from fleetfreq.grid import (
     _rhs,
     steady_state_deviation,
 )
-from fleetfreq.metrics import MetricsConfig, evaluate
+from fleetfreq.metrics import MetricsConfig, evaluate, rocof_window
 from fleetfreq.simulator import (
     DayProfile,
     DayProfileRow,
@@ -578,50 +579,43 @@ def test_random_grids_in_chunks_of_two_samples(monkeypatch):
 
 
 def streamed_rocof(first, settings, f, edges):
-    """The RoCoF that _MetricStreams folds from one cell's samples f, given
+    """The RoCoF that _MetricStreams gives for one cell's samples f, folded
     in chunks that start at 0 and at each of edges."""
     streams = simulator._MetricStreams(first, 1, settings)
     bounds = sorted({0, len(f), *edges})
     for lo, hi in zip(bounds, bounds[1:]):
         streams(lo, f[lo:hi, None])
-    return float(streams.rocof[0])
+    # No sample lies outside an infinite band, so no cell is replayed.
+    return streams.results(None, math.inf)[0].rocof_hz_per_s
 
 
-def test_metric_streams_scan_the_rocof_window_to_its_last_centre():
-    # The steepest centred difference inside the window lies about its last
-    # centre i1: a 0.5 Hz drop at sample i1 + 1, then a 5 Hz/s fall.
-    first = default_scenario(horizon_s=1.0, step_s=0.01, event_time_s=0.2)
-    settings = MetricsConfig(rocof_window_s=0.3)
-    streams = simulator._MetricStreams(first, 1, settings)
-    times = streams.times
-    i1 = streams.i1
-    f = np.where(np.arange(len(times)) > i1, 59.5 - 5.0 * (times - times[i1]), 60.0)
-    zeros = np.zeros(len(f))
-    traj = simulator.Trajectory(times, f, zeros, zeros, zeros, None, first.event_time_s)
-    reference = evaluate(traj, settings).rocof_hz_per_s
-    assert reference == pytest.approx((f[i1 + 1] - f[i1 - 1]) / 0.02)
-    assert reference < -25.0
-    for edges in ([], [i1], [i1 + 1], [i1 - 1, i1 + 1], range(len(f))):
-        assert streamed_rocof(first, settings, f, edges) == reference
-
-
-def test_metric_streams_scan_the_rocof_window_from_its_first_centre():
+@pytest.mark.parametrize("centre", ["first", "last"])
+def test_metric_streams_scan_the_rocof_window_to_its_edge_centres(centre):
     # The steepest centred difference inside the window lies about its first
-    # centre i0, whose left neighbour a chunk edge can put in the chunk
-    # before: a 5 Hz/s fall up to sample i0 - 1, then a 0.55 Hz drop. The
-    # difference about i0 - 1, outside the window, is steeper still.
+    # centre i0 or its last centre i1, whose outer neighbour a chunk edge can
+    # put in another chunk:
+    # - first: a 5 Hz/s fall up to sample i0 - 1, then a 0.55 Hz drop. The
+    #   difference about i0 - 1, outside the window, is steeper still.
+    # - last: a 0.5 Hz drop at sample i1 + 1, then a 5 Hz/s fall.
     first = default_scenario(horizon_s=1.0, step_s=0.01, event_time_s=0.2)
     settings = MetricsConfig(rocof_window_s=0.3)
-    streams = simulator._MetricStreams(first, 1, settings)
-    times = streams.times
-    i0 = streams.i0
-    f = np.where(np.arange(len(times)) < i0, 60.5 + 5.0 * (times[i0] - times), 60.0)
+    times = np.asarray(simulate(first).times_s)
+    i0, i1, _ = rocof_window(times, first.event_time_s, settings.rocof_window_s)
+    k = np.arange(len(times))
+    if centre == "first":
+        c = i0
+        f = np.where(k < i0, 60.5 + 5.0 * (times[i0] - times), 60.0)
+    else:
+        c = i1
+        f = np.where(k > i1, 59.5 - 5.0 * (times - times[i1]), 60.0)
     zeros = np.zeros(len(f))
     traj = simulator.Trajectory(times, f, zeros, zeros, zeros, None, first.event_time_s)
     reference = evaluate(traj, settings).rocof_hz_per_s
-    assert reference == pytest.approx((f[i0 + 1] - f[i0 - 1]) / 0.02)
-    assert (f[i0] - f[i0 - 2]) / 0.02 < reference < -25.0
-    for edges in ([], [i0], [i0 + 1], [i0 - 1, i0 + 1], range(len(f))):
+    assert reference == pytest.approx((f[c + 1] - f[c - 1]) / 0.02)
+    assert reference < -25.0
+    if centre == "first":
+        assert (f[i0] - f[i0 - 2]) / 0.02 < reference
+    for edges in ([], [c], [c + 1], [c - 1, c + 1], range(len(f))):
         assert streamed_rocof(first, settings, f, edges) == reference
 
 
