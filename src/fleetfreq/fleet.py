@@ -9,12 +9,9 @@ from the strategy window.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 MINUTES_PER_DAY = 1440.0
 
@@ -229,16 +226,14 @@ class ProfileSettings:
 
 def charging_profile(
     fleet: FleetConfig, settings: ProfileSettings
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[array, array, array, array]:
     """The 24 h profile at settings.step_min spacing: clocks in [0, 1440),
     per-vehicle charging power in kW, fleet-aggregate load in MW, and
-    per-vehicle SoC."""
-    import numpy as np
-
+    per-vehicle SoC, as array('d') buffers (np.asarray views one without a
+    copy)."""
     step_min = settings.step_min
-    clocks = np.arange(int(round(MINUTES_PER_DAY / step_min))) * step_min
-    per_vehicle = np.array(
-        [charging_power_at(c, fleet.strategy, fleet.vehicle) for c in clocks]
-    )
-    soc = np.array([soc_at(c, fleet.strategy, fleet.vehicle) for c in clocks])
-    return clocks, per_vehicle, fleet.n_vehicles * per_vehicle / 1000.0, soc
+    clocks = array("d", (i * step_min for i in range(int(round(MINUTES_PER_DAY / step_min)))))
+    per_vehicle = array("d", (charging_power_at(c, fleet.strategy, fleet.vehicle) for c in clocks))
+    soc = array("d", (soc_at(c, fleet.strategy, fleet.vehicle) for c in clocks))
+    mw = array("d", (fleet.n_vehicles * p / 1000.0 for p in per_vehicle))
+    return clocks, per_vehicle, mw, soc

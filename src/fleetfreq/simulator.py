@@ -8,8 +8,10 @@ one affine map per cell, built once from grid._rhs. Participation sweeps and
 the 96-interval daily nadir scan are both one scenario grid, whose cells are
 stepped together as numpy arrays by the same arithmetic, with results in
 input-grid order. The grid kernel updates its state in place and hands the
-metrics the frequencies of a chunk of samples at a time, which the metrics
-fold in with exact reductions, keeping only the RoCoF window and the tail.
+metrics the frequencies of a chunk of samples at a time. The metrics take
+two passes: the first copies the RoCoF window and the tail and keeps each
+block's range, and one replay, to the last block a metric needs, finds the
+nadir's sample, the overshoot and the settling time.
 
 simulate is pure Python and returns its series as array('d') buffers. numpy
 is imported inside the functions that step a grid or score it, so a single
@@ -322,10 +324,10 @@ def simulate(scenario: Scenario) -> Trajectory:
 # ---------------------------------------------------------------------------
 # Scenario grids
 
-# The settling scan keeps each cell's frequency range per block of samples,
-# so that only the samples up to the last block outside the band need a
-# second pass. More blocks shorten that pass but cost memory per cell: at 64
-# the 960-cell daily grid peaked 1.3 MB higher than at 16, for the same pass.
+# The metrics' first pass keeps each cell's frequency range per block of
+# samples, a whole number of chunks, so the replay runs only to the last block
+# a metric needs. More blocks shorten it but cost memory per cell: at 64 the
+# 960-cell daily grid peaked 1.3 MB higher than at 16, for the same replay.
 _SETTLING_BLOCKS = 16
 
 # The kernel builds its cells' affine maps this many cells at a time, which
@@ -417,11 +419,13 @@ def _step_cells(cells: _Cell, dt: float, event_time_s: float, n_samples: int, ob
 
 
 class _MetricStreams:
-    """What metrics.evaluate reads from a trajectory, folded in one chunk of
-    samples at a time for a batch of cells on the time grid of `first`,
-    keeping only the RoCoF window and the tail. Every fold is an exact
-    reduction (a min, a max, a first argmin, a copy), so chunking does not
-    change a bit.
+    """What metrics.evaluate reads from a trajectory, for a batch of cells on
+    the time grid of `first`, in two passes. The first (__call__) copies the
+    RoCoF window and the tail and keeps each block's min and max, one chunk
+    at a time. results replays every cell once, to the last block that one
+    needs, for what takes an index: the nadir's first sample, the highest
+    sample after it and the last sample outside the settling band. Mins,
+    maxima, comparisons and copies are exact, so chunking changes no bit.
 
     Built before the batch runs, so that a metric setting the time grid
     cannot serve is rejected first. numpy is bound here, once per grid, for
@@ -436,10 +440,6 @@ class _MetricStreams:
         self.dt, self.event_time_s = dt, event_time_s
         n_samples = int(round(first.horizon_s / dt)) + 1
         self.times = times = np.arange(n_samples) * dt
-        self.f_min = np.full(n_cells, np.inf)
-        self.i_min = np.zeros(n_cells, dtype=np.int64)
-        # The highest sample after the current minimum; -inf while none.
-        self.f_max_after = np.full(n_cells, -np.inf)
         i0, i1, self.step = metrics_mod.rocof_window(times, event_time_s, settings.rocof_window_s)
         n_tail = metrics_mod.tail_count(n_samples, settings.tail_fraction)
         # The samples kept per cell, as (first sample, cells x samples): the
@@ -447,80 +447,74 @@ class _MetricStreams:
         self.window = np.empty((n_cells, i1 - i0 + 3))
         self.tail = np.empty((n_cells, n_tail))
         self.recorded = ((i0 - 1, self.window), (n_samples - n_tail, self.tail))
-        self.block = -(-n_samples // _SETTLING_BLOCKS)
+        self.block = _CHUNK_SAMPLES * -(-n_samples // (_SETTLING_BLOCKS * _CHUNK_SAMPLES))
         n_blocks = -(-n_samples // self.block)
         self.block_min = np.full((n_blocks, n_cells), np.inf)
         self.block_max = np.full((n_blocks, n_cells), -np.inf)
 
     def __call__(self, k0: int, f: np.ndarray) -> None:
-        """Fold in samples k0, k0 + 1, ..., given as the rows of f."""
+        """Fold in samples k0, k0 + 1, ..., the rows of f, inside one block."""
         np = self.np
         k1 = k0 + len(f)
-        low, high = f.min(axis=0), f.max(axis=0)
-        lower = low < self.f_min
-        if lower.any():
-            first = f.argmin(axis=0)
-            after = np.where(np.arange(len(f))[:, None] > first, f, -np.inf).max(axis=0)
-            self.f_max_after = np.where(lower, after, np.maximum(self.f_max_after, high))
-            self.i_min = np.where(lower, k0 + first, self.i_min)
-            np.minimum(self.f_min, low, out=self.f_min)
-        else:
-            np.maximum(self.f_max_after, high, out=self.f_max_after)
         for start, kept in self.recorded:
             lo, hi = max(start, k0), min(start + kept.shape[1], k1)
             if lo < hi:
                 kept[:, lo - start : hi - start] = f[lo - k0 : hi - k0].T
-        for b in range(k0 // self.block, (k1 - 1) // self.block + 1):
-            lo, hi = max(k0, b * self.block), min(k1, (b + 1) * self.block)
-            if hi - lo < len(f):  # the chunk straddles a block edge
-                part = f[lo - k0 : hi - k0]
-                low, high = part.min(axis=0), part.max(axis=0)
-            np.minimum(self.block_min[b], low, out=self.block_min[b])
-            np.maximum(self.block_max[b], high, out=self.block_max[b])
+        b = k0 // self.block
+        np.minimum(self.block_min[b], f.min(axis=0), out=self.block_min[b])
+        np.maximum(self.block_max[b], f.max(axis=0), out=self.block_max[b])
+
+    def rocof(self) -> np.ndarray:
+        """Every cell's RoCoF: evaluate's centred differences about the
+        window's samples i0..i1, at their minimum."""
+        w = self.window
+        slopes = w[:, 2:] - w[:, :-2]
+        slopes /= 2.0 * self.step
+        return slopes.min(axis=1)
 
     def results(self, cells: _Cell, band_hz: float) -> list[metrics_mod.FrequencyMetrics]:
         """The metrics of every cell, once all samples of `cells` were seen."""
         np = self.np
         n = len(self.times)
-        # evaluate's centred differences about the window's samples i0..i1.
-        w = self.window
-        slopes = w[:, 2:] - w[:, :-2]
-        slopes /= 2.0 * self.step
         f_ss = np.array([np.mean(row) for row in self.tail])
-        # The last block holding a sample outside the band, or -1. Exact,
-        # because rounding keeps f - f_ss monotone in f, so a block's extremes
-        # bound the deviation of all its samples.
+        nadirs = self.block_min.min(axis=0)
+        # Each cell's last block holding a sample outside the band, or -1.
+        # Exact, because rounding keeps f - f_ss monotone in f, so a block's
+        # extremes bound the deviation of all its samples. A cell whose last
+        # sample is outside needs no replay to find it.
         outside = (np.abs(self.block_max - f_ss) > band_hz) | (
             np.abs(self.block_min - f_ss) > band_hz
         )
-        last_block = np.where(
-            outside.any(axis=0), len(outside) - 1 - np.argmax(outside[::-1], axis=0), -1
-        )
+        last_block = np.where(outside, np.arange(len(outside))[:, None], -1).max(axis=0)
         ends_outside = np.abs(self.tail[:, -1] - f_ss) > band_hz
+        last_block[ends_outside] = -1
+        # Replay every cell to the last block that one needs: the first block
+        # holding its nadir, or its last block outside the band.
+        replayed = int(np.maximum(np.argmin(self.block_min, axis=0), last_block).max()) + 1
+        i_nadir = np.full(len(f_ss), n)
+        max_after = np.full(len(f_ss), -np.inf)
         last_outside = np.where(ends_outside, n - 1, -1)
-        # The last sample outside the band of the other cells lies in that
-        # block: replay them up to its end.
-        replay = np.flatnonzero((last_block >= 0) & ~ends_outside)
-        if len(replay):
-            replay_f_ss = f_ss[replay]
-            replay_last = last_outside[replay]
 
-            def track(k0: int, f: np.ndarray) -> None:
-                out = np.abs(f - replay_f_ss) > band_hz
-                last = k0 + len(f) - 1 - np.argmax(out[::-1], axis=0)
-                np.copyto(replay_last, last, where=out.any(axis=0))
+        def track(k0: int, f: np.ndarray) -> None:
+            # The first sample at the nadir, the highest sample after it and
+            # the last sample outside the band, so far.
+            k = np.arange(k0, k0 + len(f))[:, None]
+            np.minimum(i_nadir, np.where(f == nadirs, k, n).min(axis=0), out=i_nadir)
+            np.maximum(max_after, np.where(k > i_nadir, f, -np.inf).max(axis=0), out=max_after)
+            out = np.abs(f - f_ss) > band_hz
+            np.maximum(last_outside, np.where(out, k, -1).max(axis=0), out=last_outside)
 
-            n_samples = min(n, (int(last_block[replay].max()) + 1) * self.block)
-            subset = _Cell(*(field[..., replay] for field in cells))
-            _step_cells(subset, self.dt, self.event_time_s, n_samples, track)
-            last_outside[replay] = replay_last
+        _step_cells(cells, self.dt, self.event_time_s, min(n, replayed * self.block), track)
+        # The blocks not replayed lie after every cell's nadir.
+        rest = self.block_max[replayed:].max(axis=0, initial=-np.inf)
+        np.maximum(max_after, rest, out=max_after)
 
         times = self.times.tolist()
         columns = zip(
-            self.f_min.tolist(),
-            self.i_min.tolist(),
-            slopes.min(axis=1).tolist(),
-            np.maximum(0.0, self.f_max_after - f_ss).tolist(),
+            nadirs.tolist(),
+            i_nadir.tolist(),
+            self.rocof().tolist(),
+            np.maximum(0.0, max_after - f_ss).tolist(),
             (last_outside + 1).tolist(),
             f_ss.tolist(),
         )

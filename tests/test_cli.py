@@ -231,21 +231,36 @@ def run_without_numpy(*argv):
     )
 
 
-def test_simulate_runs_without_numpy(tmp_path):
-    # simulate and its exit-2 path load no numpy: only a grid, a metric or a
-    # profile does.
-    args = ["--config", str(REFERENCE_CONFIG), "--mode", "v2g", "--participation", "100"]
+NUMPY_FREE = {
+    "simulate": (
+        ["--config", str(REFERENCE_CONFIG), "--mode", "v2g", "--participation", "100"],
+        '{"event": {"step_s": -1}}',
+        "event: step_s must be > 0",
+    ),
+    "profile": (
+        ["--config", str(REFERENCE_CONFIG), "--strategy", "delayed", "--step-min", "5"],
+        '{"profile": {"step_min": -1}}',
+        "profile: step_min must be > 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(NUMPY_FREE))
+def test_simulate_runs_without_numpy(command, tmp_path):
+    # simulate, profile and their exit-2 paths load no numpy: only a grid or
+    # a metric does.
+    args, bad_config, message = NUMPY_FREE[command]
     plain, bare = tmp_path / "plain.csv", tmp_path / "bare.csv"
-    assert main(["simulate", *args, "--out", str(plain)]) == 0
-    run = run_without_numpy("simulate", *args, "--out", str(bare))
+    assert main([command, *args, "--out", str(plain)]) == 0
+    run = run_without_numpy(command, *args, "--out", str(bare))
     assert run.returncode == 0, run.stderr
     assert bare.read_bytes() == plain.read_bytes()
 
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"event": {"step_s": -1}}', encoding="utf-8")
-    run = run_without_numpy("simulate", "--config", str(cfg), "--out", str(tmp_path / "bad.csv"))
+    cfg.write_text(bad_config, encoding="utf-8")
+    run = run_without_numpy(command, "--config", str(cfg), "--out", str(tmp_path / "bad.csv"))
     assert run.returncode == 2
-    assert "event: step_s must be > 0" in run.stderr
+    assert message in run.stderr
 
 
 def test_simulate_unwritable_out_exit_2(tmp_path):

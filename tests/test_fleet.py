@@ -122,6 +122,7 @@ def test_soc_trajectory_shape_and_bounds():
     for strategy in ALL_STRATEGIES:
         fleet = FleetConfig(vehicle=v, strategy=strategy)
         clocks, _, _, soc = charging_profile(fleet, ProfileSettings(1.0))
+        soc = np.asarray(soc)
         assert len(clocks) == 1440
         assert np.all(soc >= 0.0) and np.all(soc <= 1.0)
         # Continuity: no jump can exceed one minute at the fastest rate.
@@ -197,19 +198,19 @@ def test_soc_full_at_shift_start_property(vehicle):
 
 def test_aggregate_profile_empty_fleet():
     _, _, mw, _ = charging_profile(FleetConfig(n_vehicles=0), ProfileSettings())
-    assert np.all(mw == 0.0)
+    assert np.all(np.asarray(mw) == 0.0)
 
 
 def test_aggregate_profile_evening_peak():
     clocks, _, mw, _ = charging_profile(FleetConfig(n_vehicles=15000), ProfileSettings())
-    i = int(np.where(clocks == minutes("20:00"))[0][0])
+    i = int(np.where(np.asarray(clocks) == minutes("20:00"))[0][0])
     assert mw[i] == pytest.approx(1500.0)
 
 
 def test_aggregate_profile_linear_in_fleet_size():
     _, _, mw1, _ = charging_profile(FleetConfig(n_vehicles=3000), ProfileSettings())
     _, _, mw2, _ = charging_profile(FleetConfig(n_vehicles=6000), ProfileSettings())
-    assert np.allclose(mw2, 2.0 * mw1)
+    assert np.allclose(np.asarray(mw2), 2.0 * np.asarray(mw1))
 
 
 def test_aggregate_daily_energy_identity():
@@ -217,7 +218,7 @@ def test_aggregate_daily_energy_identity():
     for strategy in ALL_STRATEGIES:
         fleet = FleetConfig(n_vehicles=15000, strategy=strategy)
         _, _, mw, _ = charging_profile(fleet, ProfileSettings(step))
-        energy_mwh = float(np.sum(mw) * step / 60.0)
+        energy_mwh = float(np.sum(np.asarray(mw)) * step / 60.0)
         assert energy_mwh == pytest.approx(15000 * 0.7, rel=1e-9)
 
 

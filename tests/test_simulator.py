@@ -391,6 +391,17 @@ def mixed_coarse_cells():
     return [replace(coarse, disturbance_mw=0.0), coarse]
 
 
+def quiet_late_event_cells():
+    # Losses small enough that no sample leaves the settling band, late in
+    # the horizon: the nadir's block, not a settling block, ends the replay.
+    base = default_scenario(horizon_s=10.0, step_s=0.02, event_time_s=6.0)
+    cells = [replace(base, disturbance_mw=mw) for mw in (10.0, 80.0)]
+    for c in cells:
+        m = evaluate(simulate(c))
+        assert m.settling_time_s == 0.0 and m.nadir_time_s > base.event_time_s
+    return cells
+
+
 ORACLE_GRIDS = {
     "reference_sweep": (reference_sweep_cells, MetricsConfig()),
     "daily": (daily_cells, MetricsConfig()),
@@ -398,6 +409,7 @@ ORACLE_GRIDS = {
     "reserve_crossing": (reserve_crossing_cells, MetricsConfig()),
     "mixed": (mixed_cells, MIXED_METRICS),
     "mixed_coarse": (mixed_coarse_cells, MIXED_METRICS),
+    "quiet_late_event": (quiet_late_event_cells, MetricsConfig()),
 }
 
 
@@ -578,6 +590,42 @@ def test_random_grids_in_chunks_of_two_samples(monkeypatch):
     test_grid_evaluation_equals_simulate_on_random_grids()
 
 
+def replay_extent(cells, settings, monkeypatch):
+    """The samples the settling replay of cells steps, and the samples it
+    must step: to the end of the block holding each cell's nadir and, for a
+    cell that settles after leaving the band, its last sample outside it."""
+    lengths = []
+    step_cells = simulator._step_cells
+
+    def recording(batch, dt, event_time_s, n_samples, observe):
+        lengths.append(n_samples)
+        return step_cells(batch, dt, event_time_s, n_samples, observe)
+
+    monkeypatch.setattr(simulator, "_step_cells", recording)
+    evaluate_scenarios(cells, settings)
+    n = lengths[0]
+    chunk = simulator._CHUNK_SAMPLES
+    block = chunk * math.ceil(n / (simulator._SETTLING_BLOCKS * chunk))
+    needed = 0
+    for c in cells:
+        m = evaluate(simulate(c), settings)
+        needed = max(needed, round(m.nadir_time_s / c.step_s) + 1)
+        if m.settling_time_s is not None:
+            needed = max(needed, round(m.settling_time_s / c.step_s))
+    assert len(lengths) == 2, "one main pass and one replay"
+    return lengths[1], min(n, block * math.ceil(needed / block)), n
+
+
+def test_replay_stops_at_the_last_block_a_metric_needs(monkeypatch):
+    # mixed_cells: two cells never settle, and their last block must not
+    # set the replay's end.
+    replayed, needed, n = replay_extent(mixed_cells(), MIXED_METRICS, monkeypatch)
+    assert replayed == needed < n
+    # No cell leaves the band: the replay ends with the nadirs' blocks.
+    replayed, needed, n = replay_extent(quiet_late_event_cells(), MetricsConfig(), monkeypatch)
+    assert replayed == needed < n
+
+
 def streamed_rocof(first, settings, f, edges):
     """The RoCoF that _MetricStreams gives for one cell's samples f, folded
     in chunks that start at 0 and at each of edges."""
@@ -585,8 +633,7 @@ def streamed_rocof(first, settings, f, edges):
     bounds = sorted({0, len(f), *edges})
     for lo, hi in zip(bounds, bounds[1:]):
         streams(lo, f[lo:hi, None])
-    # No sample lies outside an infinite band, so no cell is replayed.
-    return streams.results(None, math.inf)[0].rocof_hz_per_s
+    return streams.rocof().tolist()[0]
 
 
 @pytest.mark.parametrize("centre", ["first", "last"])
