@@ -63,14 +63,14 @@ def effective_inertia(mix: GenerationMix) -> float:
 
 def finite_number(value, where: str) -> float:
     """A finite number, as a float; a bool, a string or a non-finite value is
-    rejected with where named."""
+    rejected with where named. -0 reads as 0.0, so that it is written as 0."""
     if (
         isinstance(value, bool)
         or not isinstance(value, (int, float))
         or not abs(value) <= sys.float_info.max
     ):
         raise ValueError(f"{where} must be a finite number, got {value!r}")
-    return float(value)
+    return float(value) + 0.0
 
 
 def _cell(kind: type, value, where: str):

@@ -5,13 +5,15 @@ disturbance is a pure generation-loss step; the controller threshold check
 and command update happen once per step at the step boundary and are held
 constant within the step. The model is linear, so each RK4 step is taken as
 one affine map per cell, built once from grid._rhs. Participation sweeps and
-the 96-interval daily nadir scan are both one scenario grid, whose cells are
-stepped together as numpy arrays by the same arithmetic, with results in
-input-grid order. The grid kernel updates its state in place and hands the
-metrics the frequencies of a chunk of samples at a time. The metrics take
-two passes: the first copies the RoCoF window and the tail and keeps each
-block's range, and one replay, to the last block a metric needs, finds the
-nadir's sample, the overshoot and the settling time.
+the 96-interval daily nadir scan are both one scenario grid. Cells with the
+same constants are the same integration, so each distinct cell is stepped
+once, all of them together as numpy arrays by the same arithmetic, and the
+results are scattered back to input-grid order. The grid kernel updates
+its state in place and hands the metrics the frequencies of a chunk of
+samples at a time. The metrics take two passes: the first copies the RoCoF
+window and the tail and keeps each block's range, and one replay, to the
+last block a metric needs, finds the nadir's sample, the overshoot and the
+settling time.
 
 simulate is pure Python and returns its series as array('d') buffers. numpy
 is imported inside the functions that step a grid or score it, so a single
@@ -326,20 +328,26 @@ def simulate(scenario: Scenario) -> Trajectory:
 
 # The metrics' first pass keeps each cell's frequency range per block of
 # samples, a whole number of chunks, so the replay runs only to the last block
-# a metric needs. More blocks shorten it but cost memory per cell: at 64 the
-# 960-cell daily grid peaked 1.3 MB higher than at 16, for the same replay.
+# a metric needs. More blocks shorten it but cost memory per cell: at 64,
+# `fleetfreq daily` on the reference config (325 distinct cells) peaked
+# 0.35 MB higher resident than at 16 (ru_maxrss, median of 3 runs), for the
+# same replay; with all 960 cells stepped the gap was 1.3 MB.
 _SETTLING_BLOCKS = 16
 
 # The kernel builds its cells' affine maps this many cells at a time, which
-# bounds the map's temporaries: on the 960-cell daily grid the stepping peak
-# (tracemalloc) was 0.77 MB with one map for all cells and 0.60 MB with this.
+# bounds the map's temporaries. Stepping the 325 distinct cells of the
+# reference daily grid peaked 0.43 MB above its start with one map for all
+# cells and 0.33 MB with this (tracemalloc); stepping all 960, 1.20 and
+# 0.84 MB.
 _MAP_CELLS = 128
 
 # The kernel hands the observer this many samples of every cell at a time.
-# Longer chunks save calls per sample but cost memory: `fleetfreq daily` on
-# the 960-cell reference grid peaked at 34.85 MB resident at 16, 35.35 MB at
-# 32 and 37.1 MB at 64, against 34.2 MB when the observer took one sample per
-# call.
+# Longer chunks save calls per sample but cost memory per cell: with all 960
+# cells of the reference daily grid stepped, `fleetfreq daily` peaked at
+# 34.85 MB resident at 16, 35.35 MB at 32 and 37.1 MB at 64, against 34.2 MB
+# when the observer took one sample per call. Stepping its 325 distinct
+# cells, it peaks at 32.6-32.8 MB at each of 1, 16, 32 and 64 (ru_maxrss,
+# median of 3 runs).
 _CHUNK_SAMPLES = 16
 
 
@@ -540,11 +548,15 @@ def evaluate_scenarios(
     bit. The cells must share one time grid (step, horizon and event time).
     They are stepped together as arrays by the arithmetic of simulate, which
     is elementwise, so a cell's result does not depend on the batch it runs
-    in. The time grid, the settings and every cell are checked before any
-    cell runs; a rocof window that the time grid cannot hold is named as
-    metrics.rocof_window_s, its config key. A divergence is reported as the
-    IntegrationError of the first diverged cell in input order, with its
-    index as the error's cell.
+    in. Scenarios whose _cell constants have the same bits are the same
+    integration, so each distinct cell is stepped once, in order of first
+    occurrence, and its result is scattered to every input that has it. The
+    time grid, every cell and the settings are checked, in that order,
+    before any cell runs; a rocof window that the time grid cannot hold is
+    named as metrics.rocof_window_s, its config key. A divergence is
+    reported as the IntegrationError of the first diverged cell in input
+    order, with its index as the error's cell: a repeated cell is named by
+    its first index.
     """
     import numpy as np
 
@@ -557,11 +569,17 @@ def evaluate_scenarios(
                 "scenarios must share one time grid (step_s, horizon_s, event_time_s): "
                 f"scenario {i} has {grid}, scenario 0 has {grids[0]}"
             )
+    cells = list(map(_cell, scenarios))
+    # Each cell's first input index, keyed by its bits: repr round-trips
+    # every float, where == would merge 0.0 and -0.0.
+    seen: dict[str, int] = {}
+    first_index = [seen.setdefault(repr(c), i) for i, c in enumerate(cells)]
+    firsts = list(seen.values())
     try:
-        streams = _MetricStreams(scenarios[0], len(scenarios), settings)
+        streams = _MetricStreams(scenarios[0], len(firsts), settings)
     except ValueError as exc:  # the rocof window does not fit the time grid
         raise ValueError(f"metrics.rocof_window_s: {exc}") from None
-    batch = _Cell(*(np.array(f).T for f in zip(*map(_cell, scenarios))))
+    batch = _Cell(*(np.array(f).T for f in zip(*(cells[i] for i in firsts))))
     # A non-finite state stays non-finite under these updates, so one check
     # after the last step finds every cell that simulate stops.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -570,13 +588,16 @@ def evaluate_scenarios(
         )
     finite = np.isfinite(state).all(axis=0)
     if not finite.all():
-        i = int(np.argmin(finite))
+        # firsts ascends, so the first diverged distinct cell has the
+        # smallest input index of all diverged cells.
+        i = firsts[int(np.argmin(finite))]
         try:
             simulate(scenarios[i])
         except IntegrationError as exc:
             raise IntegrationError(exc.step_index, exc.time_s, i) from None
         raise RuntimeError("grid kernel diverged where simulate did not")
-    return streams.results(batch, settings.settling_band_hz)
+    results = dict(zip(firsts, streams.results(batch, settings.settling_band_hz)))
+    return [results[i] for i in first_index]
 
 
 def scenario_grid(

@@ -413,6 +413,22 @@ def test_sweep_roundtrip_from_header(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_sweep_minus_zero_level_reads_as_zero(tmp_path):
+    out1 = tmp_path / "a.csv"
+    args = [
+        "sweep", "--config", str(REFERENCE_CONFIG), "--levels=-0", "--modes", "v1g",
+        "--strategy", "immediate", "--step", "0.05", "--horizon", "10",
+    ]
+    assert main([*args, "--out", str(out1)]) == 0
+    assert column(out1, "participation") == ["0.000000"]
+    assert '"levels":[0.0]' in out1.read_text(encoding="utf-8")
+    cfg_path = tmp_path / "echo.json"
+    cfg_path.write_text(json.dumps(read_config(out1)), encoding="utf-8")
+    out2 = tmp_path / "b.csv"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
 def test_sweep_workers_must_be_positive(tmp_path, capsys):
     out, args = sweep_args(tmp_path, "sweep.csv", ["--workers", "-3"])
     with pytest.raises(SystemExit) as exc:

@@ -402,6 +402,13 @@ def quiet_late_event_cells():
     return cells
 
 
+def repeated_cells():
+    # Repeats of a cell, side by side and apart: each distinct cell is
+    # stepped once and its result goes to every place it holds.
+    cells = latch_release_cells()
+    return [cells[i] for i in (1, 0, 1, 1, 3, 0, 2, 3)]
+
+
 ORACLE_GRIDS = {
     "reference_sweep": (reference_sweep_cells, MetricsConfig()),
     "daily": (daily_cells, MetricsConfig()),
@@ -410,6 +417,7 @@ ORACLE_GRIDS = {
     "mixed": (mixed_cells, MIXED_METRICS),
     "mixed_coarse": (mixed_coarse_cells, MIXED_METRICS),
     "quiet_late_event": (quiet_late_event_cells, MetricsConfig()),
+    "repeated": (repeated_cells, MetricsConfig()),
 }
 
 
@@ -426,24 +434,25 @@ def test_grid_divergence_raises_the_first_diverged_cells_error():
     # One time grid (a 1 s step, far past RK4's stability limit). The 1 MW
     # loss comes first in the list but diverges later (step 223) than the
     # 1.8e12 MW loss (step 214), so the error must be the first listed
-    # diverged cell's, not the earliest diverging one's.
+    # diverged cell's, not the earliest diverging one's. With repeats, that
+    # is its first input index, not its place among the distinct cells.
     flat = default_scenario(disturbance_mw=0.0, step_s=1.0, horizon_s=600.0)
     small = replace(flat, disturbance_mw=1.0)
     huge = replace(flat, disturbance_mw=1.8e12)
-    cells = [flat, small, huge]
     with pytest.raises(IntegrationError) as cell_err:
         simulate(small)
     with pytest.raises(IntegrationError) as huge_err:
         simulate(huge)
     assert huge_err.value.step_index < cell_err.value.step_index
-    with pytest.raises(IntegrationError) as grid_err:
-        evaluate_scenarios(cells, MetricsConfig(rocof_window_s=2.0))
-    assert str(grid_err.value) == str(cell_err.value)
-    assert (grid_err.value.step_index, grid_err.value.time_s) == (
-        cell_err.value.step_index,
-        cell_err.value.time_s,
-    )
-    assert grid_err.value.cell == cells.index(small)
+    for cells in ([flat, small, huge], [flat, flat, small, huge, small, flat]):
+        with pytest.raises(IntegrationError) as grid_err:
+            evaluate_scenarios(cells, MetricsConfig(rocof_window_s=2.0))
+        assert str(grid_err.value) == str(cell_err.value)
+        assert (grid_err.value.step_index, grid_err.value.time_s) == (
+            cell_err.value.step_index,
+            cell_err.value.time_s,
+        )
+        assert grid_err.value.cell == cells.index(small)
 
 
 def _floats(lo, hi):
@@ -521,8 +530,9 @@ def oracle_cell(draw, base):
 
 @st.composite
 def oracle_grids(draw):
-    """One time grid, metric settings that fit it, 1-12 cells on it and a
-    split of the cells into batches (True: a batch ends after that cell).
+    """One time grid, metric settings that fit it, 1-12 cells on it, up to
+    4 copies of them among them, and a split of the cells into batches
+    (True: a batch ends after that cell).
 
     Horizons run from 1 to 20 s, at most 400 steps, which keeps the test
     to a few seconds.
@@ -542,7 +552,13 @@ def oracle_grids(draw):
     )
     cells = draw(st.lists(oracle_cell(base), min_size=1, max_size=12))
     ends = draw(st.lists(st.booleans(), min_size=len(cells) - 1, max_size=len(cells) - 1))
-    return cells, metrics, [*ends, True]
+    ends.append(True)
+    # Copies of drawn cells, each placed before a drawn cell and in its batch.
+    for _ in range(draw(st.integers(0, 4))):
+        copy, place = (draw(st.integers(0, len(cells) - 1)) for _ in range(2))
+        cells.insert(place, cells[copy])
+        ends.insert(place, False)
+    return cells, metrics, ends
 
 
 @hypothesis_settings(derandomize=True, deadline=None, max_examples=90)
@@ -590,20 +606,27 @@ def test_random_grids_in_chunks_of_two_samples(monkeypatch):
     test_grid_evaluation_equals_simulate_on_random_grids()
 
 
+def stepped_batches(cells, settings, monkeypatch):
+    """The (cells, samples) of each _step_cells call made in evaluating
+    cells, and the results."""
+    calls = []
+    step_cells = simulator._step_cells
+
+    def recording(batch, dt, event_time_s, n_samples, observe):
+        calls.append((len(batch.f0), n_samples))
+        return step_cells(batch, dt, event_time_s, n_samples, observe)
+
+    monkeypatch.setattr(simulator, "_step_cells", recording)
+    return calls, evaluate_scenarios(cells, settings)
+
+
 def replay_extent(cells, settings, monkeypatch):
     """The samples the settling replay of cells steps, and the samples it
     must step: to the end of the block holding each cell's nadir and, for a
     cell that settles after leaving the band, its last sample outside it."""
-    lengths = []
-    step_cells = simulator._step_cells
-
-    def recording(batch, dt, event_time_s, n_samples, observe):
-        lengths.append(n_samples)
-        return step_cells(batch, dt, event_time_s, n_samples, observe)
-
-    monkeypatch.setattr(simulator, "_step_cells", recording)
-    evaluate_scenarios(cells, settings)
-    n = lengths[0]
+    calls, _ = stepped_batches(cells, settings, monkeypatch)
+    assert len(calls) == 2, "one main pass and one replay"
+    (_, n), (_, replayed) = calls
     chunk = simulator._CHUNK_SAMPLES
     block = chunk * math.ceil(n / (simulator._SETTLING_BLOCKS * chunk))
     needed = 0
@@ -612,8 +635,7 @@ def replay_extent(cells, settings, monkeypatch):
         needed = max(needed, round(m.nadir_time_s / c.step_s) + 1)
         if m.settling_time_s is not None:
             needed = max(needed, round(m.settling_time_s / c.step_s))
-    assert len(lengths) == 2, "one main pass and one replay"
-    return lengths[1], min(n, block * math.ceil(needed / block)), n
+    return replayed, min(n, block * math.ceil(needed / block)), n
 
 
 def test_replay_stops_at_the_last_block_a_metric_needs(monkeypatch):
@@ -624,6 +646,42 @@ def test_replay_stops_at_the_last_block_a_metric_needs(monkeypatch):
     # No cell leaves the band: the replay ends with the nadirs' blocks.
     replayed, needed, n = replay_extent(quiet_late_event_cells(), MetricsConfig(), monkeypatch)
     assert replayed == needed < n
+
+
+def day_cells(strategy):
+    """The bundled day profile under one charging strategy, at levels 0 and
+    1 in both modes: 384 cells, many of them the same integration."""
+    cfg = load_config_file(REFERENCE_CONFIG)
+    cfg["event"].update(step_s=0.05, horizon_s=10.0)
+    return scenario_grid(
+        scenario_from_config(cfg), [0.0, 1.0], list(ControlMode), [strategy],
+        day=bundled_day_profile(),
+    )
+
+
+def test_each_distinct_cell_is_stepped_once(monkeypatch):
+    cells = day_cells(ChargingStrategy.IMMEDIATE)
+    distinct = len({repr(simulator._cell(s)) for s in cells})
+    calls, _ = stepped_batches(cells, MetricsConfig(), monkeypatch)
+    assert [n for n, _ in calls] == [distinct, distinct]
+    assert distinct < len(cells)
+
+
+def test_cells_differing_only_in_a_signed_zero_are_both_stepped(monkeypatch):
+    # 0.0 == -0.0, but the cells' bits differ, so neither stands for the other.
+    zero = default_scenario(disturbance_mw=0.0, horizon_s=10.0, step_s=0.05)
+    cells = [zero, replace(zero, disturbance_mw=-0.0), zero]
+    calls, results = stepped_batches(cells, MetricsConfig(), monkeypatch)
+    assert [n for n, _ in calls] == [2, 2]
+    assert results == [evaluate(simulate(c)) for c in cells]
+
+
+@pytest.mark.parametrize(
+    "strategy", [ChargingStrategy.DELAYED, ChargingStrategy.CONSTANT_MINIMUM_POWER]
+)
+def test_day_grids_of_many_distinct_cells_equal_simulate(strategy):
+    cells = day_cells(strategy)
+    assert evaluate_scenarios(cells) == [evaluate(simulate(c)) for c in cells]
 
 
 def streamed_rocof(first, settings, f, edges):
