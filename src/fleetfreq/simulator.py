@@ -8,12 +8,14 @@ one affine map per cell, built once from grid._rhs. Participation sweeps and
 the 96-interval daily nadir scan are both one scenario grid. Cells with the
 same constants are the same integration, so each distinct cell is stepped
 once, all of them together as numpy arrays by the same arithmetic, and the
-results are scattered back to input-grid order. The grid kernel updates
-its state in place and hands the metrics the frequencies of a chunk of
-samples at a time. The metrics take two passes: the first copies the RoCoF
-window and the tail and keeps each block's range, and one replay, to the
-last block a metric needs, finds the nadir's sample, the overshoot and the
-settling time.
+results are scattered back to input-grid order. The grid kernel steps a
+chunk of samples at a time under the gate (latch, SoC reserve, event side)
+held at the chunk's start, checks the chunk's gates together afterwards,
+steps on again from the first sample whose gate changed, and hands the
+metrics the frequencies of each chunk. The metrics take two passes: the
+first copies the RoCoF window and the tail and keeps each block's range,
+and one replay, to the last block a metric needs, finds the nadir's
+sample, the overshoot and the settling time.
 
 simulate is pure Python and returns its series as array('d') buffers. numpy
 is imported inside the functions that step a grid or score it, so a single
@@ -341,14 +343,36 @@ _SETTLING_BLOCKS = 16
 # 0.84 MB.
 _MAP_CELLS = 128
 
-# The kernel hands the observer this many samples of every cell at a time.
-# Longer chunks save calls per sample but cost memory per cell: with all 960
-# cells of the reference daily grid stepped, `fleetfreq daily` peaked at
-# 34.85 MB resident at 16, 35.35 MB at 32 and 37.1 MB at 64, against 34.2 MB
-# when the observer took one sample per call. Stepping its 325 distinct
-# cells, it peaks at 32.6-32.8 MB at each of 1, 16, 32 and 64 (ru_maxrss,
-# median of 3 runs).
+# The kernel steps up to this many samples of every cell under held gates
+# before it checks them, and hands them to the observer together. For each
+# of these samples and the next chunk's first it keeps, per cell, one f row,
+# four state rows and one SoC row. Longer chunks save checks and calls per
+# sample but cost that memory: `fleetfreq daily` on the reference config
+# (325 distinct cells) peaked at 32.81 MB resident at 16 and 33.07-33.14 MB
+# at 32, against 32.55 MB when the kernel checked the gates at every sample
+# and kept one state (ru_maxrss, medians of 3 runs, 2 runs each).
 _CHUNK_SAMPLES = 16
+
+
+def _soc_rows(soc: np.ndarray, step: np.ndarray) -> None:
+    """Fill rows 1.. of soc from its row 0 under a held SoC step, with the
+    bits of simulate's per-step min(1, max(0, soc + step)).
+
+    One running sum of the step from row 0, then the clip. The step is
+    held, so of one sign. For a step >= 0 the sum never falls, since
+    rounding is monotone, so max(0, .) never acts on it; once the sum
+    reaches 1 every later sum is at least 1, so min(1, .) gives 1 from that
+    row on, as the per-step clip does, whose later sums min(1, 1 + step)
+    stay 1. Before that row the sums and the per-step values are the same
+    additions. A step < 0 is the mirror image at 0. Row 0 is not clipped.
+    """
+    import numpy as np
+
+    rest = soc[1:]
+    rest[...] = step
+    np.add.accumulate(soc, axis=0, out=soc)
+    np.maximum(0.0, rest, out=rest)
+    np.minimum(1.0, rest, out=rest)
 
 
 def _step_cells(cells: _Cell, dt: float, event_time_s: float, n_samples: int, observe):
@@ -361,14 +385,32 @@ def _step_cells(cells: _Cell, dt: float, event_time_s: float, n_samples: int, ob
     during the call. Returns the deviation states at the last sample, shape
     (4, cells).
 
-    The latch is a mask, advanced by the rule simulate uses. Each step is
-    the cells' _affine_map, broadcast: column j of every cell's phi times
-    state j, summed over j in row order, which is simulate's ((a+b)+c)+d,
-    plus the offset of the cell's event side and gate. These are elementwise
-    IEEE multiplies and adds, so every cell gets the bits simulate gives it,
-    whatever the batch. The offsets and the SoC steps are gathered again
-    only when the event side or a cell's gate changes; the state, the SoC
-    and the clip are updated in place.
+    Each step is the cells' _affine_map, broadcast: column j of every cell's
+    phi times state j, summed over j in row order and then the offset of the
+    cell's event side and gate, which is simulate's (((a+b)+c)+d)+o. These
+    are elementwise IEEE multiplies and adds, so every cell gets the bits
+    simulate gives it, whatever the batch.
+
+    The gate (the latch, SoC above reserve and the event side) changes a few
+    times per run. So the kernel steps a span of samples under the gate it
+    holds, keeping every sample's state, and then checks the span's samples
+    together:
+    - f is f0 (1 + df) on every row, and the latch is one controller.latched
+      call on the rows, with the held mask as the previous latch. The held
+      mask is the first row's latch, which the rule maps to itself; while it
+      is also the true latch of the sample before a later row, the call
+      gives that row's true latch. So, by induction, the first row that
+      differs from the held mask is the latch's first change.
+    - The SoC rows are _soc_rows of the held SoC step, which gives the bits
+      of simulate's per-step clip.
+    - The event side changes at the first sample k with k dt >= event time.
+    At the first sample whose gate differs, the check's latch and reserve
+    test of it are its gate by simulate's rule; its offsets and SoC steps
+    are gathered, and stepping goes on from it, the samples before it
+    standing. A span runs to the end of the chunk and the next chunk's
+    first sample. After a change it is one sample, doubled by each check
+    that finds none, so that a gate flipping at every sample costs a check
+    per sample rather than a re-step of the rest of the chunk.
     """
     import numpy as np
 
@@ -386,44 +428,68 @@ def _step_cells(cells: _Cell, dt: float, event_time_s: float, n_samples: int, ob
     # rate * dt per table entry has the bits of the gathered rate times dt.
     soc_steps = cells.soc_rates.T.ravel() * dt
     base = 4 * np.arange(n)
-    x = np.zeros((4, n))
-    df, x_cols = x[0], x[:, None, :]
-    prod = np.empty((4, 4, n))
-    off = np.empty((4, n))
+    # The first sample on the event side.
+    event_k = next((k for k in range(n_samples) if k * dt >= event_time_s), n_samples)
+    size = min(_CHUNK_SAMPLES, n_samples)
+    # Row j of each buffer is sample k0 + j of the chunk; row `size` is the
+    # next chunk's first sample.
+    states = np.zeros((size + 1, 4, n))
+    x_cols = [x[:, None, :] for x in states]
+    f = np.empty((size + 1, n))
+    soc = np.empty((size + 1, n))
+    soc[0] = cells.soc0
+    # prod[j] is column j of phi times state j and prod[4] the offset, so one
+    # reduce over its rows takes the step.
+    prod = np.empty((5, 4, n))
+    products, off = prod[:4], prod[4]
     soc_step = np.empty(n)
-    soc = cells.soc0.copy()
-    # Each cell's gate: triggered, and SoC above reserve.
-    gate = np.zeros((2, n), dtype=bool)
-    triggered, above = gate
-    chunk = np.empty((min(_CHUNK_SAMPLES, n_samples), n))
-    rows = list(chunk)
-    held_side = held_gate = None
-    j = 0
-    for k in range(n_samples):
-        f = rows[j]
-        np.multiply(cells.f0, np.add(1.0, df, out=f), out=f)
-        triggered[...] = latched(f, cells.threshold_hz, triggered, cells.latch_on)
-        j += 1
-        if j == len(rows) or k == n_samples - 1:
-            observe(k + 1 - j, chunk[:j])
-            j = 0
-        if k == n_samples - 1:
-            break
-        side = k * dt >= event_time_s
-        np.greater(soc, cells.soc_reserve, out=above)
-        if side is not held_side or (gate != held_gate).any():
-            held_side, held_gate = side, gate.copy()
-            index = base + 2 * triggered + above
-            offs[side].take(index, axis=1, out=off)
-            soc_steps.take(index, out=soc_step)
-        np.multiply(phi_cols, x_cols, out=prod)
-        np.add.reduce(prod, axis=0, out=x)
-        x += off
-        # Command and SoC rate are held over the step; the clip as simulate's.
-        soc += soc_step
-        np.maximum(0.0, soc, out=soc)
-        np.minimum(1.0, soc, out=soc)
-    return x
+    # The held gate: the latch mask, SoC above reserve, and the event side of
+    # the sample gathered for. At sample 0 the latch is taken as off, which
+    # the first check verifies like any other.
+    triggered = np.zeros(n, dtype=bool)
+    above = cells.soc0 > cells.soc_reserve
+
+    def gather(k: int) -> None:
+        index = base + 2 * triggered + above
+        offs[k >= event_k].take(index, axis=1, out=off)
+        soc_steps.take(index, out=soc_step)
+
+    gather(0)
+    multiply, reduce = np.multiply, np.add.reduce
+    # The samples stepped past the last checked one before the next check.
+    span = size
+    for k0 in range(0, n_samples, size):
+        rows = min(size, n_samples - k0)
+        end = min(rows + 1, n_samples - k0)
+        r = 0
+        while True:
+            stop = min(end, r + span + 1)
+            for j in range(r, stop - 1):
+                multiply(phi_cols, x_cols[j], out=products)
+                reduce(prod, axis=0, out=states[j + 1])
+            # Rows r..stop - 1, from row r, whose state and SoC stand.
+            block = f[r:stop]
+            np.multiply(cells.f0, np.add(1.0, states[r:stop, 0], out=block), out=block)
+            _soc_rows(soc[r:stop], soc_step)
+            latch = latched(block, cells.threshold_hz, triggered, cells.latch_on)
+            over = soc[r:stop] > cells.soc_reserve
+            changed = ((latch != triggered) | (over != above)).any(axis=1)
+            i = r + int(changed.argmax()) if changed.any() else stop
+            if r < event_k - k0:
+                i = min(i, event_k - k0)
+            if i < stop:
+                triggered, above = latch[i - r], over[i - r]
+                gather(k0 + i)
+                r, span = i, 1
+            elif stop < end:
+                r, span = stop - 1, min(2 * span, size)
+            else:
+                break
+        observe(k0, f[:rows])
+        if end > rows:  # the next chunk's first sample, stepped and checked
+            states[0], soc[0] = states[rows], soc[rows]
+    # A copy, so that the caller does not keep every row alive.
+    return states[end - 1].copy()
 
 
 class _MetricStreams:

@@ -2,6 +2,7 @@
 controller coupling, grid evaluation against simulate, and the day-profile
 machinery."""
 
+import itertools
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -402,6 +403,41 @@ def quiet_late_event_cells():
     return cells
 
 
+def soc_bounds_cells():
+    # A small battery on a large charger, both cells in the charging window
+    # and triggered after 2 s. The first charges to full before its trigger
+    # and then discharges to its reserve; the second, V2G without the shed,
+    # discharges to empty and then swings about it, each sample recharging
+    # or discharging. So the SoC clips at 1 while charging and at 0 while
+    # discharging (at samples 68 and 284 of 501, both inside a chunk). Both
+    # clips show in the results: the first cell's SoC falls from the clipped
+    # 1 to its reserve, and the second's reserve gate, at 0, reads each
+    # clipped 0.
+    base = default_scenario(horizon_s=10.0, step_s=0.02, event_time_s=2.0)
+
+    def cell(soc0, soc_return, soc_reserve, discharge_kw, **controller):
+        vehicle = VehicleClass(
+            battery_kwh=5.0, charger_kw=400.0, discharge_kw=discharge_kw,
+            soc_return=soc_return, soc_reserve=soc_reserve,
+        )
+        fleet = FleetConfig(n_vehicles=1000, vehicle=vehicle)
+        window = charging_window(fleet.strategy, vehicle)
+        # The clock at which the charging fleet's SoC is soc0.
+        clock = window.start_min + (soc0 - soc_return) * vehicle.battery_kwh * 60.0 / window.power_kw
+        controller = ControllerConfig(mode=ControlMode.V2G, participation=1.0, **controller)
+        return replace(base, fleet=fleet, clock_min=clock, controller=controller)
+
+    cells = [
+        cell(0.97, 0.2, 0.92, 400.0),
+        cell(0.03, 0.02, 0.0, 1000.0, v2g_includes_shed=False),
+    ]
+    for c, bound in zip(cells, (1.0, 0.0)):
+        soc = simulate(c).mean_soc
+        k = soc.index(bound)
+        assert 0 < k < len(soc) - 1
+    return cells
+
+
 def repeated_cells():
     # Repeats of a cell, side by side and apart: each distinct cell is
     # stepped once and its result goes to every place it holds.
@@ -417,6 +453,7 @@ ORACLE_GRIDS = {
     "mixed": (mixed_cells, MIXED_METRICS),
     "mixed_coarse": (mixed_coarse_cells, MIXED_METRICS),
     "quiet_late_event": (quiet_late_event_cells, MetricsConfig()),
+    "soc_bounds": (soc_bounds_cells, MetricsConfig()),
     "repeated": (repeated_cells, MetricsConfig()),
 }
 
@@ -532,7 +569,8 @@ def oracle_cell(draw, base):
 def oracle_grids(draw):
     """One time grid, metric settings that fit it, 1-12 cells on it, up to
     4 copies of them among them, and a split of the cells into batches
-    (True: a batch ends after that cell).
+    (True: a batch ends after that cell). Then one more batch: a drawn cell
+    twice and, at a drawn place among them, a copy of it that diverges.
 
     Horizons run from 1 to 20 s, at most 400 steps, which keeps the test
     to a few seconds.
@@ -558,6 +596,19 @@ def oracle_grids(draw):
         copy, place = (draw(st.integers(0, len(cells) - 1)) for _ in range(2))
         cells.insert(place, cells[copy])
         ends.insert(place, False)
+    # The diverging copy has a governor lag 100 times shorter than the step
+    # and a 1e290 pu loss. Placed last, its input index is not its place
+    # among the batch's distinct cells.
+    twice = cells[draw(st.integers(0, len(cells) - 1))]
+    diverging = replace(
+        twice,
+        grid=replace(twice.grid, t_governor_s=step / 100.0),
+        disturbance_mw=twice.grid.s_base_mw * 1e290,
+    )
+    extra = [twice, twice]
+    extra.insert(draw(st.integers(0, 2)), diverging)
+    cells += extra
+    ends += [False, False, True]
     return cells, metrics, ends
 
 
@@ -618,6 +669,54 @@ def stepped_batches(cells, settings, monkeypatch):
 
     monkeypatch.setattr(simulator, "_step_cells", recording)
     return calls, evaluate_scenarios(cells, settings)
+
+
+def test_soc_rows_equal_the_per_step_clip():
+    # The kernel's SoC rows under a held step, against simulate's per-step
+    # rule: starts at the bounds and next to them, and steps of both signs,
+    # some crossing a bound within the rows and some too small to move.
+    eps = 2.0**-52
+    starts = [0.0, 5e-324, eps, 1e-3, 0.5, 1.0 - 1e-3, 1.0 - eps / 2.0, 1.0]
+    steps = [0.0, -0.0, eps, -eps, 1e-4, -1e-4, 7.3e-3, -7.3e-3, 0.3, -0.3]
+    starts, steps = np.array(list(itertools.product(starts, steps))).T
+    soc = np.empty((40, len(starts)))
+    soc[0] = starts
+    simulator._soc_rows(soc, steps)
+    for cell, (x, step) in enumerate(zip(starts.tolist(), steps.tolist())):
+        expected = [x]
+        for _ in range(len(soc) - 1):
+            expected.append(min(1.0, max(0.0, expected[-1] + step)))
+        assert soc[:, cell].tobytes() == np.array(expected).tobytes(), (x, step)
+
+
+def test_gates_are_checked_per_chunk_not_per_sample(monkeypatch):
+    # In quiet_late_event no cell triggers and the SoC stays above the
+    # reserve, so the only gate change is the event side, inside a chunk.
+    # Each pass calls the latch rule once per chunk, and for the change once
+    # per span checked as the span doubles from one sample back to a chunk;
+    # not once per sample.
+    cells = quiet_late_event_cells()
+    for c in cells:
+        traj = simulate(c)
+        assert traj.latch_time_s is None
+        assert min(traj.mean_soc) > c.fleet.vehicle.soc_reserve
+    first = cells[0]
+    event_k = next(k for k in itertools.count() if k * first.step_s >= first.event_time_s)
+    assert event_k % simulator._CHUNK_SAMPLES != 0
+    calls = []
+    latched = simulator.latched
+
+    def counting(*args):
+        calls.append(None)
+        return latched(*args)
+
+    monkeypatch.setattr(simulator, "latched", counting)
+    passes, _ = stepped_batches(cells, MetricsConfig(), monkeypatch)
+    chunks = sum(math.ceil(n / simulator._CHUNK_SAMPLES) for _, n in passes)
+    samples = sum(n for _, n in passes)
+    assert len(passes) == 2 and all(n > event_k for _, n in passes)
+    per_change = 2 + math.log2(simulator._CHUNK_SAMPLES)
+    assert chunks <= len(calls) <= chunks + per_change * len(passes) < samples / 4
 
 
 def replay_extent(cells, settings, monkeypatch):
