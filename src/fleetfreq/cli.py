@@ -63,23 +63,27 @@ WRITE_CHUNK_ROWS = 4096
 
 def write_atomic(path: str | Path, header: str, rows: list[str]) -> None:
     """Write the header, then one line per row, via a temp file and rename;
-    no partial file survives a failure."""
+    no partial file survives a failure. An OSError names path, not the temp
+    file, which the caller never asked for."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(
-        dir=str(path.parent) or ".", prefix=f".{path.name}.", suffix=".tmp"
-    )
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(header)
-            for i in range(0, len(rows), WRITE_CHUNK_ROWS):
-                fh.write("\n".join(rows[i : i + WRITE_CHUNK_ROWS]) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(
+            dir=str(path.parent) or ".", prefix=f".{path.name}.", suffix=".tmp"
+        )
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(header)
+                for i in range(0, len(rows), WRITE_CHUNK_ROWS):
+                    fh.write("\n".join(rows[i : i + WRITE_CHUNK_ROWS]) + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
 def _write(args, command: str, echo: dict, columns: str, rows: list[str], what: str) -> int:

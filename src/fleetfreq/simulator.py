@@ -8,14 +8,15 @@ one affine map per cell, built once from grid._rhs. Participation sweeps and
 the 96-interval daily nadir scan are both one scenario grid. Cells with the
 same constants are the same integration, so each distinct cell is stepped
 once, all of them together as numpy arrays by the same arithmetic, and the
-results are scattered back to input-grid order. The grid kernel steps a
-chunk of samples at a time under the gate (latch, SoC reserve, event side)
-held at the chunk's start, checks the chunk's gates together afterwards,
-steps on again from the first sample whose gate changed, and hands the
-metrics the frequencies of each chunk. The metrics take two passes: the
-first copies the RoCoF window and the tail and keeps each block's range,
-and one replay, to the last block a metric needs, finds the nadir's
-sample, the overshoot and the settling time.
+results are scattered back to input-grid order. The grid kernel is a
+generator: it steps a chunk of samples at a time under the gate (latch, SoC
+reserve, event side) held at the chunk's start, checks the chunk's gates
+together afterwards, steps on again from the first sample whose gate
+changed, and yields the chunk's frequencies. One function scores a batch
+in two plain loops over the kernel: the first copies the RoCoF window and
+the tail and keeps each block's range, and one replay, to the last block a
+metric needs, finds the nadir's sample, the overshoot and the settling
+time.
 
 simulate is pure Python and returns its series as array('d') buffers. numpy
 is imported inside the functions that step a grid or score it, so a single
@@ -64,7 +65,8 @@ BUNDLED_DAY_PROFILE = "california_day_synthetic.csv"
 class IntegrationError(RuntimeError):
     """The integrator produced a non-finite state.
 
-    From evaluate_scenarios, cell is the index of the diverged scenario.
+    From evaluate_scenarios, cell is the index of the diverged scenario; from
+    the grid kernel, its column in the batch.
     """
 
     def __init__(self, step_index: int, time_s: float, cell: int | None = None):
@@ -138,9 +140,6 @@ class Trajectory:
     mean_soc: array
     latch_time_s: float | None
     event_time_s: float = 0.0
-
-    def __len__(self) -> int:
-        return len(self.times_s)
 
 
 def default_scenario(**overrides) -> Scenario:
@@ -336,21 +335,14 @@ def simulate(scenario: Scenario) -> Trajectory:
 # same replay; with all 960 cells stepped the gap was 1.3 MB.
 _SETTLING_BLOCKS = 16
 
-# The kernel builds its cells' affine maps this many cells at a time, which
-# bounds the map's temporaries. Stepping the 325 distinct cells of the
-# reference daily grid peaked 0.43 MB above its start with one map for all
-# cells and 0.33 MB with this (tracemalloc); stepping all 960, 1.20 and
-# 0.84 MB.
-_MAP_CELLS = 128
-
 # The kernel steps up to this many samples of every cell under held gates
-# before it checks them, and hands them to the observer together. For each
-# of these samples and the next chunk's first it keeps, per cell, one f row,
-# four state rows and one SoC row. Longer chunks save checks and calls per
-# sample but cost that memory: `fleetfreq daily` on the reference config
-# (325 distinct cells) peaked at 32.81 MB resident at 16 and 33.07-33.14 MB
-# at 32, against 32.55 MB when the kernel checked the gates at every sample
-# and kept one state (ru_maxrss, medians of 3 runs, 2 runs each).
+# before it checks them, and yields them together. For each of these samples
+# and the next chunk's first it keeps, per cell, one f row, four state rows
+# and one SoC row. Longer chunks save checks and calls per sample but cost
+# that memory: `fleetfreq daily` on the reference config (325 distinct
+# cells) peaked at 32.81 MB resident at 16 and 33.07-33.14 MB at 32, against
+# 32.55 MB when the kernel checked the gates at every sample and kept one
+# state (ru_maxrss, medians of 3 runs, 2 runs each).
 _CHUNK_SAMPLES = 16
 
 
@@ -375,15 +367,18 @@ def _soc_rows(soc: np.ndarray, step: np.ndarray) -> None:
     np.minimum(1.0, rest, out=rest)
 
 
-def _step_cells(cells: _Cell, dt: float, event_time_s: float, n_samples: int, observe):
+def _step_cells(cells: _Cell, dt: float, event_time_s: float, n_samples: int):
     """Step a batch of cells together with the arithmetic of simulate.
 
-    Writes every cell's frequency at each sample into a samples x cells
-    buffer and calls observe(k0, f) with it once per chunk of
-    _CHUNK_SAMPLES samples (the last chunk may be shorter): row r of f holds
-    sample k0 + r, for k0 + r in range(n_samples). The rows are only valid
-    during the call. Returns the deviation states at the last sample, shape
-    (4, cells).
+    A generator: yields (k0, f) once per chunk of _CHUNK_SAMPLES samples, in
+    order, with k0 a multiple of _CHUNK_SAMPLES; f is samples x cells and
+    row r holds every cell's frequency at sample k0 + r, for k0 + r in
+    range(n_samples), so only the last chunk may be shorter. The rows are
+    only valid until the next chunk is asked for. After the last chunk it
+    reads the deviation states (4 x cells) of the last sample: a non-finite
+    state stays non-finite under these updates, so that finds every cell
+    that simulate stops, and it raises IntegrationError there with the first
+    such cell's column in the batch as the error's cell.
 
     Each step is the cells' _affine_map, broadcast: column j of every cell's
     phi times state j, summed over j in row order and then the offset of the
@@ -417,14 +412,9 @@ def _step_cells(cells: _Cell, dt: float, event_time_s: float, n_samples: int, ob
     n = len(cells.f0)
     # phi_cols[j][i] is phi[i][j] of every cell. The offsets (per event side)
     # and the SoC steps are flat, so that entry 4 * cell + gate is the cell's.
-    phi_cols = np.empty((4, 4, n))
-    offs = np.empty((2, 4, n, 4))
-    for lo in range(0, n, _MAP_CELLS):
-        part = slice(lo, lo + _MAP_CELLS)
-        phi, offsets = _affine_map(_Cell(*(field[..., part] for field in cells)), dt)
-        phi_cols[..., part] = np.transpose(phi, (1, 0, 2))
-        offs[:, :, part] = np.transpose(offsets, (0, 2, 3, 1))
-    offs = tuple(offs.reshape(2, 4, 4 * n))
+    phi, offsets = _affine_map(cells, dt)
+    phi_cols = np.transpose(phi, (1, 0, 2)).copy()
+    offs = tuple(np.transpose(offsets, (0, 2, 3, 1)).reshape(2, 4, 4 * n))
     # rate * dt per table entry has the bits of the gathered rate times dt.
     soc_steps = cells.soc_rates.T.ravel() * dt
     base = 4 * np.arange(n)
@@ -485,124 +475,117 @@ def _step_cells(cells: _Cell, dt: float, event_time_s: float, n_samples: int, ob
                 r, span = stop - 1, min(2 * span, size)
             else:
                 break
-        observe(k0, f[:rows])
+        yield k0, f[:rows]
         if end > rows:  # the next chunk's first sample, stepped and checked
             states[0], soc[0] = states[rows], soc[rows]
-    # A copy, so that the caller does not keep every row alive.
-    return states[end - 1].copy()
+    finite = np.isfinite(states[end - 1]).all(axis=0)
+    if not finite.all():
+        raise IntegrationError(n_samples - 1, (n_samples - 1) * dt, int(np.argmin(finite)))
 
 
-class _MetricStreams:
-    """What metrics.evaluate reads from a trajectory, for a batch of cells on
-    the time grid of `first`, in two passes. The first (__call__) copies the
-    RoCoF window and the tail and keeps each block's min and max, one chunk
-    at a time. results replays every cell once, to the last block that one
+def _grid_metrics(
+    cells: _Cell, first: Scenario, settings: metrics_mod.MetricsConfig
+) -> list[metrics_mod.FrequencyMetrics]:
+    """What metrics.evaluate gives for each cell of a batch on the time grid
+    of `first`, in two passes over the kernel. The first copies the RoCoF
+    window and the tail and keeps each block's min and max, one chunk at a
+    time. The replay steps every cell again, to the last block that one
     needs, for what takes an index: the nadir's first sample, the highest
     sample after it and the last sample outside the settling band. Mins,
     maxima, comparisons and copies are exact, so chunking changes no bit.
 
-    Built before the batch runs, so that a metric setting the time grid
-    cannot serve is rejected first. numpy is bound here, once per grid, for
-    the calls made at every chunk.
+    A RoCoF window that the time grid cannot serve is rejected before any
+    cell runs. A diverged cell raises the kernel's IntegrationError at the
+    end of the first pass, before the replay, which would index past the
+    time grid at its NaN nadir.
     """
+    import numpy as np
 
-    def __init__(self, first: Scenario, n_cells: int, settings: metrics_mod.MetricsConfig):
-        import numpy as np
+    dt, event_time_s = first.step_s, first.event_time_s
+    n = int(round(first.horizon_s / dt)) + 1
+    times = np.arange(n) * dt
+    try:
+        i0, i1, step = metrics_mod.rocof_window(times, event_time_s, settings.rocof_window_s)
+    except ValueError as exc:  # the rocof window does not fit the time grid
+        raise ValueError(f"metrics.rocof_window_s: {exc}") from None
+    n_cells = len(cells.f0)
+    n_tail = metrics_mod.tail_count(n, settings.tail_fraction)
+    # The samples kept per cell, as (first sample, cells x samples): the
+    # RoCoF window with its outer neighbours, and the tail.
+    window = np.empty((n_cells, i1 - i0 + 3))
+    tail = np.empty((n_cells, n_tail))
+    recorded = ((i0 - 1, window), (n - n_tail, tail))
+    block = _CHUNK_SAMPLES * -(-n // (_SETTLING_BLOCKS * _CHUNK_SAMPLES))
+    n_blocks = -(-n // block)
+    block_min = np.full((n_blocks, n_cells), np.inf)
+    block_max = np.full((n_blocks, n_cells), -np.inf)
 
-        self.np = np
-        dt, event_time_s = first.step_s, first.event_time_s
-        self.dt, self.event_time_s = dt, event_time_s
-        n_samples = int(round(first.horizon_s / dt)) + 1
-        self.times = times = np.arange(n_samples) * dt
-        i0, i1, self.step = metrics_mod.rocof_window(times, event_time_s, settings.rocof_window_s)
-        n_tail = metrics_mod.tail_count(n_samples, settings.tail_fraction)
-        # The samples kept per cell, as (first sample, cells x samples): the
-        # RoCoF window with its outer neighbours, and the tail.
-        self.window = np.empty((n_cells, i1 - i0 + 3))
-        self.tail = np.empty((n_cells, n_tail))
-        self.recorded = ((i0 - 1, self.window), (n_samples - n_tail, self.tail))
-        self.block = _CHUNK_SAMPLES * -(-n_samples // (_SETTLING_BLOCKS * _CHUNK_SAMPLES))
-        n_blocks = -(-n_samples // self.block)
-        self.block_min = np.full((n_blocks, n_cells), np.inf)
-        self.block_max = np.full((n_blocks, n_cells), -np.inf)
+    # Every chunk lies inside one block, since a block is a whole number of
+    # chunks.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0, f in _step_cells(cells, dt, event_time_s, n):
+            k1 = k0 + len(f)
+            for start, kept in recorded:
+                lo, hi = max(start, k0), min(start + kept.shape[1], k1)
+                if lo < hi:
+                    kept[:, lo - start : hi - start] = f[lo - k0 : hi - k0].T
+            b = k0 // block
+            np.minimum(block_min[b], f.min(axis=0), out=block_min[b])
+            np.maximum(block_max[b], f.max(axis=0), out=block_max[b])
 
-    def __call__(self, k0: int, f: np.ndarray) -> None:
-        """Fold in samples k0, k0 + 1, ..., the rows of f, inside one block."""
-        np = self.np
-        k1 = k0 + len(f)
-        for start, kept in self.recorded:
-            lo, hi = max(start, k0), min(start + kept.shape[1], k1)
-            if lo < hi:
-                kept[:, lo - start : hi - start] = f[lo - k0 : hi - k0].T
-        b = k0 // self.block
-        np.minimum(self.block_min[b], f.min(axis=0), out=self.block_min[b])
-        np.maximum(self.block_max[b], f.max(axis=0), out=self.block_max[b])
+    # evaluate's centred differences about the window's samples i0..i1, at
+    # their minimum.
+    slopes = window[:, 2:] - window[:, :-2]
+    slopes /= 2.0 * step
+    rocof = slopes.min(axis=1)
+    band_hz = settings.settling_band_hz
+    f_ss = np.array([np.mean(row) for row in tail])
+    nadirs = block_min.min(axis=0)
+    # Each cell's last block holding a sample outside the band, or -1.
+    # Exact, because rounding keeps f - f_ss monotone in f, so a block's
+    # extremes bound the deviation of all its samples. A cell whose last
+    # sample is outside needs no replay to find it.
+    outside = (np.abs(block_max - f_ss) > band_hz) | (np.abs(block_min - f_ss) > band_hz)
+    last_block = np.where(outside, np.arange(n_blocks)[:, None], -1).max(axis=0)
+    ends_outside = np.abs(tail[:, -1] - f_ss) > band_hz
+    last_block[ends_outside] = -1
+    # Replay every cell to the last block that one needs: the first block
+    # holding its nadir, or its last block outside the band. The replay
+    # keeps the first sample at the nadir, the highest sample after it and
+    # the last sample outside the band, so far.
+    replayed = int(np.maximum(np.argmin(block_min, axis=0), last_block).max()) + 1
+    i_nadir = np.full(n_cells, n)
+    max_after = np.full(n_cells, -np.inf)
+    last_outside = np.where(ends_outside, n - 1, -1)
+    for k0, f in _step_cells(cells, dt, event_time_s, min(n, replayed * block)):
+        k = np.arange(k0, k0 + len(f))[:, None]
+        np.minimum(i_nadir, np.where(f == nadirs, k, n).min(axis=0), out=i_nadir)
+        np.maximum(max_after, np.where(k > i_nadir, f, -np.inf).max(axis=0), out=max_after)
+        out = np.abs(f - f_ss) > band_hz
+        np.maximum(last_outside, np.where(out, k, -1).max(axis=0), out=last_outside)
+    # The blocks not replayed lie after every cell's nadir.
+    np.maximum(max_after, block_max[replayed:].max(axis=0, initial=-np.inf), out=max_after)
 
-    def rocof(self) -> np.ndarray:
-        """Every cell's RoCoF: evaluate's centred differences about the
-        window's samples i0..i1, at their minimum."""
-        w = self.window
-        slopes = w[:, 2:] - w[:, :-2]
-        slopes /= 2.0 * self.step
-        return slopes.min(axis=1)
-
-    def results(self, cells: _Cell, band_hz: float) -> list[metrics_mod.FrequencyMetrics]:
-        """The metrics of every cell, once all samples of `cells` were seen."""
-        np = self.np
-        n = len(self.times)
-        f_ss = np.array([np.mean(row) for row in self.tail])
-        nadirs = self.block_min.min(axis=0)
-        # Each cell's last block holding a sample outside the band, or -1.
-        # Exact, because rounding keeps f - f_ss monotone in f, so a block's
-        # extremes bound the deviation of all its samples. A cell whose last
-        # sample is outside needs no replay to find it.
-        outside = (np.abs(self.block_max - f_ss) > band_hz) | (
-            np.abs(self.block_min - f_ss) > band_hz
+    times = times.tolist()
+    columns = zip(
+        nadirs.tolist(),
+        i_nadir.tolist(),
+        rocof.tolist(),
+        np.maximum(0.0, max_after - f_ss).tolist(),
+        (last_outside + 1).tolist(),
+        f_ss.tolist(),
+    )
+    return [
+        metrics_mod.FrequencyMetrics(
+            nadir_hz=nadir,
+            nadir_time_s=times[i],
+            rocof_hz_per_s=rocof,
+            overshoot_hz=overshoot,
+            settling_time_s=times[settled] if settled < n else None,
+            f_steady_state_hz=ss,
         )
-        last_block = np.where(outside, np.arange(len(outside))[:, None], -1).max(axis=0)
-        ends_outside = np.abs(self.tail[:, -1] - f_ss) > band_hz
-        last_block[ends_outside] = -1
-        # Replay every cell to the last block that one needs: the first block
-        # holding its nadir, or its last block outside the band.
-        replayed = int(np.maximum(np.argmin(self.block_min, axis=0), last_block).max()) + 1
-        i_nadir = np.full(len(f_ss), n)
-        max_after = np.full(len(f_ss), -np.inf)
-        last_outside = np.where(ends_outside, n - 1, -1)
-
-        def track(k0: int, f: np.ndarray) -> None:
-            # The first sample at the nadir, the highest sample after it and
-            # the last sample outside the band, so far.
-            k = np.arange(k0, k0 + len(f))[:, None]
-            np.minimum(i_nadir, np.where(f == nadirs, k, n).min(axis=0), out=i_nadir)
-            np.maximum(max_after, np.where(k > i_nadir, f, -np.inf).max(axis=0), out=max_after)
-            out = np.abs(f - f_ss) > band_hz
-            np.maximum(last_outside, np.where(out, k, -1).max(axis=0), out=last_outside)
-
-        _step_cells(cells, self.dt, self.event_time_s, min(n, replayed * self.block), track)
-        # The blocks not replayed lie after every cell's nadir.
-        rest = self.block_max[replayed:].max(axis=0, initial=-np.inf)
-        np.maximum(max_after, rest, out=max_after)
-
-        times = self.times.tolist()
-        columns = zip(
-            nadirs.tolist(),
-            i_nadir.tolist(),
-            self.rocof().tolist(),
-            np.maximum(0.0, max_after - f_ss).tolist(),
-            (last_outside + 1).tolist(),
-            f_ss.tolist(),
-        )
-        return [
-            metrics_mod.FrequencyMetrics(
-                nadir_hz=nadir,
-                nadir_time_s=times[i],
-                rocof_hz_per_s=rocof,
-                overshoot_hz=overshoot,
-                settling_time_s=times[settled] if settled < n else None,
-                f_steady_state_hz=ss,
-            )
-            for nadir, i, rocof, overshoot, settled, ss in columns
-        ]
+        for nadir, i, rocof, overshoot, settled, ss in columns
+    ]
 
 
 def evaluate_scenarios(
@@ -641,28 +624,18 @@ def evaluate_scenarios(
     seen: dict[str, int] = {}
     first_index = [seen.setdefault(repr(c), i) for i, c in enumerate(cells)]
     firsts = list(seen.values())
-    try:
-        streams = _MetricStreams(scenarios[0], len(firsts), settings)
-    except ValueError as exc:  # the rocof window does not fit the time grid
-        raise ValueError(f"metrics.rocof_window_s: {exc}") from None
     batch = _Cell(*(np.array(f).T for f in zip(*(cells[i] for i in firsts))))
-    # A non-finite state stays non-finite under these updates, so one check
-    # after the last step finds every cell that simulate stops.
-    with np.errstate(over="ignore", invalid="ignore"):
-        state = _step_cells(
-            batch, streams.dt, streams.event_time_s, len(streams.times), streams
-        )
-    finite = np.isfinite(state).all(axis=0)
-    if not finite.all():
+    try:
+        results = dict(zip(firsts, _grid_metrics(batch, scenarios[0], settings)))
+    except IntegrationError as diverged:
         # firsts ascends, so the first diverged distinct cell has the
         # smallest input index of all diverged cells.
-        i = firsts[int(np.argmin(finite))]
+        i = firsts[diverged.cell]
         try:
             simulate(scenarios[i])
         except IntegrationError as exc:
             raise IntegrationError(exc.step_index, exc.time_s, i) from None
         raise RuntimeError("grid kernel diverged where simulate did not")
-    results = dict(zip(firsts, streams.results(batch, settings.settling_band_hz)))
     return [results[i] for i in first_index]
 
 

@@ -263,10 +263,12 @@ def test_simulate_runs_without_numpy(command, tmp_path):
     assert message in run.stderr
 
 
-def test_simulate_unwritable_out_exit_2(tmp_path):
+def test_simulate_unwritable_out_exit_2(tmp_path, capsys):
     out = tmp_path / "missing-dir" / "traj.csv"
     assert main(["simulate", "--out", str(out)]) == 2
     assert not out.exists()
+    err = capsys.readouterr().err
+    assert str(out) in err and ".tmp" not in err
 
 
 def test_simulate_divergence_exit_4(tmp_path, capsys):

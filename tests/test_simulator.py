@@ -492,6 +492,60 @@ def test_grid_divergence_raises_the_first_diverged_cells_error():
         assert grid_err.value.cell == cells.index(small)
 
 
+def batch_of(*scenarios):
+    """The kernel's batch of the scenarios' cells, one column per cell."""
+    cells = [simulator._cell(s) for s in scenarios]
+    return simulator._Cell(*(np.array(field).T for field in zip(*cells)))
+
+
+def test_grid_divergence_at_the_last_step_in_the_governor_state_only():
+    # A 0.05 s step is 2.86 governor lags of 0.0175 s, past RK4's limit of
+    # 2.785, and the loss is 1.3e300 pu. The governor state overflows at the
+    # last step, 200, while the frequency is still finite (about 5.3e305
+    # Hz), so only a check of the whole last state finds the divergence.
+    # Once a step past RK4's limit is rejected as a config error (ROADMAP
+    # item 11), this input exits 2 before any cell runs instead.
+    stable = default_scenario(step_s=0.05, horizon_s=10.0)
+    cell = replace(
+        stable,
+        grid=replace(stable.grid, t_governor_s=0.0175),
+        disturbance_mw=stable.grid.s_base_mw * 1.3e300,
+    )
+    with pytest.raises(IntegrationError) as want:
+        simulate(cell)
+    assert (want.value.step_index, want.value.time_s) == (200, 10.000000000000002)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError):
+        for _, f in simulator._step_cells(batch_of(cell), 0.05, 0.0, 201):
+            last_f = float(f[-1, 0])
+    assert math.isfinite(last_f) and last_f > 1e305
+    with pytest.raises(IntegrationError) as got:
+        evaluate_scenarios([stable, cell, stable])
+    assert (got.value.step_index, got.value.time_s, got.value.cell) == (
+        want.value.step_index,
+        want.value.time_s,
+        1,
+    )
+
+
+@pytest.mark.parametrize("n_samples", [5, 16, 17, 5999, 6000, 6001])
+def test_kernel_chunks_cover_the_samples_in_order(n_samples):
+    # The metrics fold each chunk into one settling block, a whole number of
+    # chunks, so every chunk must start at a multiple of _CHUNK_SAMPLES.
+    # 6,001 samples, the reference grid's, leave a last chunk of 1 row.
+    chunk = simulator._CHUNK_SAMPLES
+    assert 6000 % chunk == 0
+    scenarios = [default_scenario(), with_controller(default_scenario(), participation=1.0)]
+    covered, rows = [], []
+    for k0, f in simulator._step_cells(batch_of(*scenarios), 0.01, 0.0, n_samples):
+        assert k0 % chunk == 0
+        assert f.shape == (min(chunk, n_samples - k0), len(scenarios))
+        covered += range(k0, k0 + len(f))
+        rows.append(f.copy())
+    assert covered == list(range(n_samples))
+    expected = [simulate(s).frequency_hz[:n_samples] for s in scenarios]
+    assert np.vstack(rows).T.tobytes() == np.array(expected).tobytes()
+
+
 def _floats(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
@@ -663,9 +717,9 @@ def stepped_batches(cells, settings, monkeypatch):
     calls = []
     step_cells = simulator._step_cells
 
-    def recording(batch, dt, event_time_s, n_samples, observe):
+    def recording(batch, dt, event_time_s, n_samples):
         calls.append((len(batch.f0), n_samples))
-        return step_cells(batch, dt, event_time_s, n_samples, observe)
+        return step_cells(batch, dt, event_time_s, n_samples)
 
     monkeypatch.setattr(simulator, "_step_cells", recording)
     return calls, evaluate_scenarios(cells, settings)
@@ -783,18 +837,24 @@ def test_day_grids_of_many_distinct_cells_equal_simulate(strategy):
     assert evaluate_scenarios(cells) == [evaluate(simulate(c)) for c in cells]
 
 
-def streamed_rocof(first, settings, f, edges):
-    """The RoCoF that _MetricStreams gives for one cell's samples f, folded
-    in chunks that start at 0 and at each of edges."""
-    streams = simulator._MetricStreams(first, 1, settings)
-    bounds = sorted({0, len(f), *edges})
-    for lo, hi in zip(bounds, bounds[1:]):
-        streams(lo, f[lo:hi, None])
-    return streams.rocof().tolist()[0]
+def streamed_rocof(first, settings, f, edges, monkeypatch):
+    """The RoCoF that _grid_metrics gives for one cell's samples f, fed to
+    it in chunks that start at 0, at each of edges and, as the kernel's do,
+    at each multiple of _CHUNK_SAMPLES."""
+    chunk = simulator._CHUNK_SAMPLES
+
+    def feed(cells, dt, event_time_s, n_samples):
+        cuts = {*range(0, n_samples, chunk), *(e for e in edges if e < n_samples)}
+        bounds = sorted({*cuts, n_samples})
+        for lo, hi in zip(bounds, bounds[1:]):
+            yield lo, f[lo:hi, None]
+
+    monkeypatch.setattr(simulator, "_step_cells", feed)
+    return simulator._grid_metrics(batch_of(first), first, settings)[0].rocof_hz_per_s
 
 
 @pytest.mark.parametrize("centre", ["first", "last"])
-def test_metric_streams_scan_the_rocof_window_to_its_edge_centres(centre):
+def test_metric_streams_scan_the_rocof_window_to_its_edge_centres(centre, monkeypatch):
     # The steepest centred difference inside the window lies about its first
     # centre i0 or its last centre i1, whose outer neighbour a chunk edge can
     # put in another chunk:
@@ -820,7 +880,7 @@ def test_metric_streams_scan_the_rocof_window_to_its_edge_centres(centre):
     if centre == "first":
         assert (f[i0] - f[i0 - 2]) / 0.02 < reference
     for edges in ([], [c], [c + 1], [c - 1, c + 1], range(len(f))):
-        assert streamed_rocof(first, settings, f, edges) == reference
+        assert streamed_rocof(first, settings, f, edges, monkeypatch) == reference
 
 
 def test_grid_of_mixed_time_grids_raises_before_any_cell_runs(monkeypatch):
