@@ -389,6 +389,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # No step calls BLAS: the grid kernel uses elementwise ufuncs only. So
+    # numpy, first imported inside evaluate_scenarios, loads OpenBLAS without
+    # its worker thread, which would otherwise start with the import and spin
+    # beside the kernel. A value the user set wins; once numpy is loaded this
+    # does nothing. It is set here, not in entry, so that a caller of main
+    # runs the same process set-up as the console script.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

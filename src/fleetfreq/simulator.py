@@ -187,10 +187,10 @@ def _cell(scenario: Scenario) -> _Cell:
     # controller functions themselves. They read the SoC only against the
     # reserve, so SoC 0 stands for "at or below" it and SoC 1 for "above" it
     # (an entry that a reserve of 1 never selects).
+    states = [replace(fs0, mean_soc=soc) for soc in (0.0, 1.0)]
     commands, soc_rates = [], []
     for triggered in (False, True):
-        for soc in (0.0, 1.0):
-            fs = replace(fs0, mean_soc=soc)
+        for fs in states:
             cmd_mw = ev_power_command(triggered, controller, fs, fleet)
             commands.append(cmd_mw / grid.s_base_mw)
             soc_rates.append(soc_rate_under_command(cmd_mw, fs, fleet))

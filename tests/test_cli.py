@@ -222,13 +222,20 @@ sys.exit(fleetfreq.cli.main(sys.argv[1:]))
 """
 
 
-def run_without_numpy(*argv):
+def run_python(*argv, drop=()):
+    """A fresh interpreter run with argv, fleetfreq's source on its path and
+    the environment variables named in drop removed."""
     path = [str(Path(fleetfreq.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    for name in drop:
+        env.pop(name, None)
     return subprocess.run(
-        [sys.executable, "-c", WITHOUT_NUMPY, *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+def run_without_numpy(*argv):
+    return run_python("-c", WITHOUT_NUMPY, *argv)
 
 
 NUMPY_FREE = {
@@ -679,3 +686,65 @@ def test_flag_equals_its_config_key(tmp_path, command, flag):
     assert main([command, "--config", str(base_cfg), flag, text, "--out", str(by_flag)]) == 0
     assert main([command, "--config", str(merged_cfg), "--out", str(by_config)]) == 0
     assert by_flag.read_bytes() == by_config.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# process
+
+
+SMALL_SWEEP = [
+    "sweep", "--config", str(REFERENCE_CONFIG), "--levels", "100", "--modes", "v1g",
+    "--strategy", "immediate", "--step", "0.05", "--horizon", "10",
+]
+
+
+def test_cli_program_exit_codes(tmp_path):
+    # python -m fleetfreq.cli runs entry(), as the console script does.
+    by_main, by_program = tmp_path / "main.csv", tmp_path / "program.csv"
+    assert main([*SMALL_SWEEP, "--out", str(by_main)]) == 0
+    run = run_python("-m", "fleetfreq.cli", *SMALL_SWEEP, "--out", str(by_program))
+    assert run.returncode == 0, run.stderr
+    assert by_program.read_bytes() == by_main.read_bytes()
+
+    missing = tmp_path / "missing.json"
+    run = run_python(
+        "-m", "fleetfreq.cli", "sweep", "--config", str(missing), "--out", str(tmp_path / "x.csv")
+    )
+    assert run.returncode == 2
+    assert "config error" in run.stderr
+
+
+@pytest.mark.parametrize("given", [None, "3"])
+def test_main_sets_one_blas_thread_unless_given(tmp_path, monkeypatch, given):
+    # setenv first, so that the undo also removes the value main sets.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    if given is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert main([*SMALL_SWEEP, "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == (given or "1")
+
+
+# Runs fleetfreq.cli.main(argv), checks that it loaded numpy, and prints the
+# number of the process's threads.
+COUNT_THREADS = """
+import os, sys
+import fleetfreq.cli
+code = fleetfreq.cli.main(sys.argv[1:])
+assert "numpy" in sys.modules
+print(len(os.listdir("/proc/self/task")))
+sys.exit(code)
+"""
+
+
+def test_grid_run_loads_numpy_without_a_blas_worker(tmp_path):
+    # OpenBLAS starts no worker thread on a single CPU, and only Linux lists
+    # a process's threads under /proc/self/task.
+    if not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs /proc/self/task and at least 2 CPUs")
+    # An in-process main may have set OPENBLAS_NUM_THREADS in this process.
+    run = run_python(
+        "-c", COUNT_THREADS, *SMALL_SWEEP, "--out", str(tmp_path / "sweep.csv"),
+        drop=("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "1"
