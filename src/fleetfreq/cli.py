@@ -20,7 +20,6 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .config import (
-    ScenarioAxes,
     canonical_json,
     day_profile_from_value,
     day_profile_to_value,
@@ -38,6 +37,7 @@ from .metrics import FrequencyMetrics, MetricsConfig
 from .simulator import (
     IntegrationError,
     Scenario,
+    ScenarioAxes,
     bundled_day_profile,
     evaluate_scenarios,
     scenario_grid,
@@ -220,14 +220,6 @@ def _load_cfg(args) -> dict:
     return cfg
 
 
-def _grid(section: str, base: Scenario, *axes, **kwargs) -> list[Scenario]:
-    """scenario_grid, with a bad axis named by its config section."""
-    try:
-        return scenario_grid(base, *axes, **kwargs)
-    except ValueError as exc:
-        raise ValueError(f"{section}: {exc}") from None
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -301,7 +293,7 @@ def cmd_sweep(args) -> int:
     base = scenario_from_config(cfg)
     settings = metrics_from_config(cfg)
     axes = from_section(_section(cfg, "sweep"), ScenarioAxes(), "sweep")
-    scenarios = _grid("sweep", base, axes.levels, axes.modes, axes.strategies)
+    scenarios = scenario_grid(base, axes.levels, axes.modes, axes.strategies)
 
     echo = scenario_to_config(base)
     echo["metrics"] = to_section(settings)
@@ -321,7 +313,7 @@ def cmd_daily(args) -> int:
         if day_value is None
         else day_profile_from_value(day_value)
     )
-    scenarios = _grid("daily", base, axes.levels, axes.modes, day=day)
+    scenarios = scenario_grid(base, axes.levels, axes.modes, day=day)
 
     echo = scenario_to_config(base)
     echo["metrics"] = to_section(settings)

@@ -11,12 +11,12 @@ rejected with the field named.
 from __future__ import annotations
 
 import json
-from dataclasses import astuple, dataclass, field, fields, is_dataclass, replace
+from dataclasses import astuple, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-from .controller import ControlMode, ControllerConfig
+from .controller import ControllerConfig
 from .fleet import ChargingStrategy, FleetConfig
 from .grid import (
     MIX_COLUMNS,
@@ -24,6 +24,7 @@ from .grid import (
     GenerationSource,
     finite_number,
     grid_from_preset,
+    inertial_mix,
     read_table,
 )
 from .metrics import MetricsConfig
@@ -76,21 +77,6 @@ def _section(cfg: dict, name: str) -> dict:
 
 # ---------------------------------------------------------------------------
 # section <-> object
-
-
-@dataclass(frozen=True)
-class ScenarioAxes:
-    """The "sweep" and "daily" sections: the axes of a scenario grid.
-
-    Levels are participation fractions. daily has no strategies (it scans
-    the fleet's own) and adds a day profile, which keeps its own shape.
-    """
-
-    levels: list[float] = field(default_factory=lambda: [0.2, 0.4, 0.6, 0.8, 1.0])
-    modes: list[ControlMode] = field(default_factory=lambda: list(ControlMode))
-    strategies: list[ChargingStrategy] = field(
-        default_factory=lambda: list(ChargingStrategy)
-    )
 
 
 def _coerce(tp, value, where: str):
@@ -176,7 +162,11 @@ def mix_to_value(mix: GenerationMix | None):
 def mix_from_value(value) -> GenerationMix | None:
     if value is None:
         return None
-    return GenerationMix(read_table(value, MIX_COLUMNS, GenerationSource, "mix"))
+    sources = read_table(value, MIX_COLUMNS, GenerationSource, "mix")
+    try:
+        return inertial_mix(sources)
+    except ValueError as exc:
+        raise ValueError(f"mix: {exc}") from None
 
 
 def day_profile_to_value(day: DayProfile) -> list[dict]:
@@ -240,19 +230,19 @@ def scenario_from_config(cfg: dict) -> Scenario:
     A mix sets h_eff_s and s_base_mw, so a grid section that gives either
     one next to a mix must give the value the mix derives.
     """
-    grid = _section(cfg, "grid")
+    section = _section(cfg, "grid")
+    grid = from_section(section, grid_from_preset("table2_reported"), "grid")
     base = Scenario(
-        grid=from_section(grid, grid_from_preset("table2_reported"), "grid"),
+        grid=grid,
         mix=mix_from_value(cfg.get("mix")),
         fleet=from_section(_section(cfg, "fleet"), FleetConfig(), "fleet"),
         controller=from_section(
             _section(cfg, "controller"), ControllerConfig(), "controller"
         ),
     )
-    derived = base.resolved_grid()
     for key in ("h_eff_s", "s_base_mw"):
-        given, used = getattr(base.grid, key), getattr(derived, key)
-        if key in grid and given != used:
+        given, used = getattr(grid, key), getattr(base.grid, key)
+        if key in section and given != used:
             raise ValueError(
                 f"grid.{key} is {given!r}, but the mix gives {used!r}: "
                 "drop one of them or make them equal"
@@ -266,11 +256,11 @@ def metrics_from_config(cfg: dict) -> MetricsConfig:
 
 
 def scenario_to_config(scenario: Scenario) -> dict:
-    # The grid section echoes the resolved parameters (mix-derived inertia
-    # and base included) so the header states what the run actually used;
-    # feeding it back together with the mix re-derives the same values.
+    # The grid section echoes the grid the run used (mix-derived inertia and
+    # base included); feeding it back together with the mix re-derives the
+    # same values.
     return {
-        "grid": to_section(scenario.resolved_grid()),
+        "grid": to_section(scenario.grid),
         "mix": mix_to_value(scenario.mix),
         "fleet": to_section(scenario.fleet),
         "controller": to_section(scenario.controller),

@@ -61,6 +61,14 @@ def effective_inertia(mix: GenerationMix) -> float:
     return math.fsum(s.inertia_s * s.power_mw for s in mix.sources) / mix.total_power_mw
 
 
+def inertial_mix(sources) -> GenerationMix:
+    """A GenerationMix that can set a grid's inertia, which must be > 0."""
+    mix = GenerationMix(sources)
+    if not effective_inertia(mix) > 0.0:
+        raise ValueError("generation mix has no inertia: all its power has h_seconds 0")
+    return mix
+
+
 def finite_number(value, where: str) -> float:
     """A finite number, as a float; a bool, a string or a non-finite value is
     rejected with where named. -0 reads as 0.0, so that it is written as 0."""
@@ -207,7 +215,7 @@ class GridParameters:
                 raise ValueError(f"{field} must be > 0")
 
 
-def grid_from_preset(name: str, **overrides) -> GridParameters:
+def grid_from_preset(name: str) -> GridParameters:
     """GridParameters for a named inertia preset of the California dataset."""
     if name not in INERTIA_PRESETS:
         valid = ", ".join(sorted(INERTIA_PRESETS))
@@ -215,14 +223,11 @@ def grid_from_preset(name: str, **overrides) -> GridParameters:
     return GridParameters(
         h_eff_s=INERTIA_PRESETS[name],
         s_base_mw=CALIFORNIA_LOW_INERTIA_MIX.total_power_mw,
-        **overrides,
     )
 
 
-def grid_from_mix(mix: GenerationMix, base: GridParameters | None = None) -> GridParameters:
-    """Derive h_eff_s and s_base_mw from a mix, keeping other parameters."""
-    if base is None:
-        base = grid_from_preset("table2_reported")
+def grid_from_mix(mix: GenerationMix, base: GridParameters) -> GridParameters:
+    """Derive h_eff_s and s_base_mw from a mix, keeping base's other parameters."""
     return replace(base, h_eff_s=effective_inertia(mix), s_base_mw=mix.total_power_mw)
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
@@ -51,6 +51,7 @@ from .grid import (
     GridParameters,
     grid_from_mix,
     grid_from_preset,
+    inertial_mix,
     read_table,
     _rhs,
 )
@@ -84,7 +85,7 @@ class Scenario:
     """One contingency experiment.
 
     When a generation mix is attached, h_eff_s and s_base_mw are derived from
-    it and override the plain grid values.
+    it and override the given grid's, so grid is always the grid the run uses.
     """
 
     grid: GridParameters
@@ -98,6 +99,8 @@ class Scenario:
     step_s: float = 0.01
 
     def __post_init__(self) -> None:
+        if self.mix is not None:
+            object.__setattr__(self, "grid", grid_from_mix(self.mix, self.grid))
         if self.step_s <= 0.0:
             raise ValueError("step_s must be > 0")
         if self.horizon_s < 10.0 * self.step_s:
@@ -116,11 +119,6 @@ class Scenario:
                 f"controller.threshold_hz ({self.controller.threshold_hz!r}) must be "
                 f"below grid.f_nominal_hz ({self.grid.f_nominal_hz!r})"
             )
-
-    def resolved_grid(self) -> GridParameters:
-        if self.mix is None:
-            return self.grid
-        return grid_from_mix(self.mix, self.grid)
 
 
 @dataclass(frozen=True)
@@ -178,7 +176,7 @@ class _Cell(NamedTuple):
 
 
 def _cell(scenario: Scenario) -> _Cell:
-    grid = scenario.resolved_grid()
+    grid = scenario.grid
     fleet = scenario.fleet
     controller = scenario.controller
     fs0 = fleet_state_at(scenario.clock_min, fleet)
@@ -639,6 +637,28 @@ def evaluate_scenarios(
     return [results[i] for i in first_index]
 
 
+@dataclass(frozen=True)
+class ScenarioAxes:
+    """The axes of a scenario grid: the "sweep" and "daily" sections.
+
+    Levels are participation fractions in [0, 1], and no axis is empty.
+    daily has no strategies (it scans the fleet's own) and adds a day
+    profile, which keeps its own shape.
+    """
+
+    levels: list[float] = field(default_factory=lambda: [0.2, 0.4, 0.6, 0.8, 1.0])
+    modes: list[ControlMode] = field(default_factory=lambda: list(ControlMode))
+    strategies: list[ChargingStrategy] = field(default_factory=lambda: list(ChargingStrategy))
+
+    def __post_init__(self) -> None:
+        for name in ("levels", "modes", "strategies"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be nonempty")
+        for level in self.levels:
+            if not 0.0 <= level <= 1.0:
+                raise ValueError(f"participation level {level} outside [0, 1]")
+
+
 def scenario_grid(
     base: Scenario,
     levels: list[float],
@@ -648,40 +668,32 @@ def scenario_grid(
 ) -> list[Scenario]:
     """The scenario grid of a participation sweep or a daily scan.
 
-    Cells are ordered clock-major, then by strategy, mode and level. Without
-    a day profile there is one clock, the base clock and mix; with one, each
-    profile row sets the mix (and so the inertia and power base) and the
-    clock (and so the fleet state). strategies=None keeps the base fleet's.
-    Each cell's key is in its own scenario: fleet.strategy, clock_min,
-    controller.mode and controller.participation.
+    Cells are ordered clock-major, then by strategy, mode and level. Without a
+    day profile there is one clock, the base clock and grid; with one, each
+    profile row sets the clock (and so the fleet state) and, from its mix, the
+    grid. strategies=None keeps the base fleet's. A row's grid, a strategy's
+    fleet and a (mode, level) controller are each built once and shared by
+    their cells, which carry no mix. Each cell's key is in its own scenario:
+    fleet.strategy, clock_min, controller.mode and controller.participation.
     """
-    if not levels:
-        raise ValueError("levels must be nonempty")
-    for level in levels:
-        if not 0.0 <= level <= 1.0:
-            raise ValueError(f"participation level {level} outside [0, 1]")
-    if not modes:
-        raise ValueError("modes must be nonempty")
     if strategies is None:
         strategies = [base.fleet.strategy]
-    if not strategies:
-        raise ValueError("strategies must be nonempty")
+    axes = ScenarioAxes(levels, modes, strategies)
     if day is None:
-        clocks = [(base.clock_min, base.mix)]
+        rows = [(base.clock_min, base.grid)]
     else:
-        clocks = [(row.clock_min, row.mix) for row in day.rows]
+        rows = [(row.clock_min, grid_from_mix(row.mix, base.grid)) for row in day.rows]
+    fleets = [replace(base.fleet, strategy=strategy) for strategy in axes.strategies]
+    controllers = [
+        replace(base.controller, mode=mode, participation=level)
+        for mode in axes.modes
+        for level in axes.levels
+    ]
     return [
-        replace(
-            base,
-            mix=mix,
-            clock_min=clock,
-            fleet=replace(base.fleet, strategy=strategy),
-            controller=replace(base.controller, mode=mode, participation=level),
-        )
-        for clock, mix in clocks
-        for strategy in strategies
-        for mode in modes
-        for level in levels
+        replace(base, grid=grid, mix=None, clock_min=clock, fleet=fleet, controller=controller)
+        for clock, grid in rows
+        for fleet in fleets
+        for controller in controllers
     ]
 
 
@@ -735,7 +747,7 @@ def day_profile_row(clock_min: float, *powers: float) -> DayProfileRow:
         GenerationSource(s.name, s.inertia_s, power)
         for s, power in zip(CALIFORNIA_LOW_INERTIA_MIX.sources, powers, strict=True)
     )
-    return DayProfileRow(clock_min, GenerationMix(sources))
+    return DayProfileRow(clock_min, inertial_mix(sources))
 
 
 def day_profile_values(row: DayProfileRow) -> list[float]:

@@ -13,9 +13,9 @@ import pytest
 
 import fleetfreq
 from fleetfreq.cli import FLAGS, main
-from fleetfreq.config import day_profile_from_value
+from fleetfreq.config import day_profile_from_value, day_profile_to_value
 from fleetfreq.controller import ControlMode
-from fleetfreq.grid import grid_from_preset
+from fleetfreq.grid import CALIFORNIA_LOW_INERTIA_MIX, grid_from_preset
 from fleetfreq.simulator import bundled_day_profile, default_scenario, simulate
 
 from day_profiles import day_profile_csv_text, synthetic_california_day
@@ -167,6 +167,36 @@ def test_simulate_mix_flag_derives_inertia(tmp_path):
     assert cfg["grid"]["h_eff_s"] == pytest.approx(2.5)
     assert cfg["grid"]["s_base_mw"] == pytest.approx(20000.0)
     assert len(cfg["mix"]) == 2
+
+
+@pytest.mark.parametrize("form", ["csv", "json"])
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("wind,0,2000", "mix: generation mix has no inertia"),
+        ("gas,4.9,0", "mix: generation mix total power must be > 0 MW"),
+    ],
+    ids=["inverter-only", "no-power"],
+)
+def test_a_mix_that_cannot_set_the_grid_is_named_as_the_mix(tmp_path, capsys, form, row, message):
+    # The mix sets h_eff_s and s_base_mw, so the fault is the mix's, not a
+    # grid key the user never gave.
+    if form == "csv":
+        mix = tmp_path / "mix.csv"
+        mix.write_text(f"source,h_seconds,power_mw\n{row}\n", encoding="utf-8")
+        given = ["--mix", str(mix)]
+    else:
+        source, h_seconds, power_mw = row.split(",")
+        value = [{"source": source, "h_seconds": float(h_seconds), "power_mw": float(power_mw)}]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mix": value}), encoding="utf-8")
+        given = ["--config", str(cfg)]
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", *given, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err
+    assert "h_eff_s" not in err and "s_base_mw" not in err
+    assert not out.exists()
 
 
 def test_simulate_roundtrip_from_header(tmp_path):
@@ -561,6 +591,50 @@ def test_daily_duplicate_clock_rejected(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "duplicate clock_min" in err and "row" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("form", ["csv", "json"])
+def test_daily_row_without_inertia_is_named_by_its_row(tmp_path, capsys, form):
+    # Row 38 (09:15) keeps its wind and solar and loses every inertial source.
+    rows = day_profile_to_value(bundled_day_profile())
+    for source in CALIFORNIA_LOW_INERTIA_MIX.sources:
+        if source.inertia_s > 0.0:
+            rows[37][f"{source.name}_mw"] = 0.0
+    assert rows[37]["wind_solar_mw"] > 0.0
+    if form == "csv":
+        day = tmp_path / "day.csv"
+        lines = [",".join(rows[0]), *(",".join(map(repr, row.values())) for row in rows)]
+        day.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        given, where = ["--day-profile", str(day)], f"day_profile: {day}: data row 38: "
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"daily": {"day_profile": rows}}), encoding="utf-8")
+        given, where = ["--config", str(cfg)], "day_profile[38]: "
+    out = tmp_path / "daily.csv"
+    assert main(daily_args(out, given)) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {where}generation mix has no inertia" in err
+    assert "h_eff_s" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, flags, message",
+    [
+        ("sweep", {}, ["--levels", "150"], "sweep: participation level 1.5 outside [0, 1]"),
+        ("sweep", {"sweep": {"modes": []}}, [], "sweep: modes must be nonempty"),
+        ("sweep", {"sweep": {"strategies": []}}, [], "sweep: strategies must be nonempty"),
+        ("daily", {"daily": {"levels": []}}, [], "daily: levels must be nonempty"),
+        ("daily", {}, ["--levels", "-5"], "daily: participation level -0.05 outside [0, 1]"),
+    ],
+)
+def test_a_bad_grid_axis_is_named_by_its_section(tmp_path, capsys, command, config, flags, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 2
+    assert f"config error: {message}\n" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -2,7 +2,6 @@
 exit 2 and the field named, and the scenario echo round trip."""
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -119,7 +118,8 @@ def scenarios(draw):
     sources = draw(st.none() | st.lists(source, min_size=1, max_size=4))
     step_s = draw(st.sampled_from([0.001, 0.01, 0.02, 0.05]))
     horizon_s = step_s * draw(st.integers(10, 5000))
-    scenario = Scenario(
+    # The echo states the grid the run used: with a mix, the one it derives.
+    return Scenario(
         grid=grid,
         fleet=fleet,
         controller=controller,
@@ -130,8 +130,6 @@ def scenarios(draw):
         horizon_s=horizon_s,
         step_s=step_s,
     )
-    # The echo states the grid the run used, which a mix overrides.
-    return replace(scenario, grid=scenario.resolved_grid())
 
 
 @settings(max_examples=60, deadline=None)

@@ -246,7 +246,7 @@ def test_inertia_presets():
 
 
 def test_grid_from_mix():
-    grid = grid_from_mix(CALIFORNIA_LOW_INERTIA_MIX)
+    grid = grid_from_mix(CALIFORNIA_LOW_INERTIA_MIX, grid_from_preset("table2_reported"))
     assert grid.h_eff_s == pytest.approx(WEIGHTED_H, rel=1e-12)
     assert grid.s_base_mw == pytest.approx(19830.0)
 

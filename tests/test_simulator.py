@@ -26,6 +26,7 @@ from fleetfreq.grid import (
     CALIFORNIA_LOW_INERTIA_MIX,
     GridParameters,
     _rhs,
+    effective_inertia,
     steady_state_deviation,
 )
 from fleetfreq.metrics import MetricsConfig, evaluate, rocof_window
@@ -75,9 +76,16 @@ def test_late_horizon_matches_steady_state_oracle():
     assert oracle == pytest.approx(F_SS_ORACLE, rel=1e-12)
 
 
+def test_a_mix_sets_the_grid_the_scenario_holds():
+    scenario = replace(default_scenario(), mix=CALIFORNIA_LOW_INERTIA_MIX)
+    assert scenario.grid.h_eff_s == effective_inertia(CALIFORNIA_LOW_INERTIA_MIX)
+    assert scenario.grid.s_base_mw == CALIFORNIA_LOW_INERTIA_MIX.total_power_mw
+    assert replace(scenario.grid, h_eff_s=6.4) == default_scenario().grid
+
+
 def test_rocof_with_mix_derived_inertia():
     scenario = default_scenario(mix=CALIFORNIA_LOW_INERTIA_MIX)
-    grid = scenario.resolved_grid()
+    grid = scenario.grid
     assert grid.h_eff_s == pytest.approx(3.9943267776096825, rel=1e-12)
     traj = simulate(scenario)
     oracle = -1800.0 / grid.s_base_mw * 60.0 / (2.0 * grid.h_eff_s)
@@ -1009,3 +1017,81 @@ def test_daily_scan_constant_mix_varies_only_with_fleet():
     assert len(on_shift) == 1
     # Plugged-and-charging intervals differ from the on-shift baseline.
     assert by_clock[1200.0] > next(iter(on_shift))
+
+
+def reference_daily_cells(strategy):
+    base = scenario_from_config(load_config_file(REFERENCE_CONFIG))
+    base = replace(base, fleet=replace(base.fleet, strategy=strategy))
+    axes = simulator.ScenarioAxes()
+    day = bundled_day_profile()
+    return base, axes, day, scenario_grid(base, axes.levels, axes.modes, day=day)
+
+
+@pytest.mark.parametrize("strategy", list(ChargingStrategy))
+def test_daily_cells_equal_the_cells_built_from_each_rows_mix(strategy):
+    # Each cell once carried its row's mix, from which _cell derived the
+    # grid; now the row's grid is derived once and the cell carries it.
+    base, axes, day, cells = reference_daily_cells(strategy)
+    from_mix = [
+        replace(
+            base,
+            mix=row.mix,
+            clock_min=row.clock_min,
+            fleet=replace(base.fleet, strategy=strategy),
+            controller=replace(base.controller, mode=mode, participation=level),
+        )
+        for row in day.rows
+        for mode in axes.modes
+        for level in axes.levels
+    ]
+    assert len(cells) == len(from_mix) == 960
+    assert [repr(simulator._cell(c)) for c in cells] == [
+        repr(simulator._cell(c)) for c in from_mix
+    ]
+    keys = [(c.clock_min, c.fleet, c.controller) for c in cells]
+    assert keys == [(c.clock_min, c.fleet, c.controller) for c in from_mix]
+
+
+def test_the_cells_of_a_day_row_share_its_grid_and_carry_no_mix():
+    _, axes, day, cells = reference_daily_cells(ChargingStrategy.IMMEDIATE)
+    per_row = len(axes.levels) * len(axes.modes)
+    for i, row in enumerate(day.rows):
+        row_cells = cells[i * per_row : (i + 1) * per_row]
+        assert all(c.grid is row_cells[0].grid for c in row_cells)
+        assert all(c.mix is None for c in row_cells)
+        assert row_cells[0].grid.h_eff_s == effective_inertia(row.mix)
+
+
+def test_a_daily_grid_derives_each_rows_grid_once(monkeypatch):
+    derive, calls = simulator.grid_from_mix, []
+
+    def counted(*args):
+        calls.append(args)
+        return derive(*args)
+
+    base = scenario_from_config(load_config_file(REFERENCE_CONFIG))
+    day = bundled_day_profile()
+    monkeypatch.setattr(simulator, "grid_from_mix", counted)
+    cells = scenario_grid(base, [0.2, 0.4, 0.6, 0.8, 1.0], list(ControlMode), day=day)
+    list(map(simulator._cell, cells))
+    assert len(cells) == 960
+    assert len(calls) == 96
+
+
+@pytest.mark.parametrize(
+    "axes, message",
+    [
+        (([], [ControlMode.V1G], None), "levels must be nonempty"),
+        (([1.5], [ControlMode.V1G], None), "participation level 1.5 outside [0, 1]"),
+        (([-0.1], [ControlMode.V1G], None), "participation level -0.1 outside [0, 1]"),
+        (([1.0], [], None), "modes must be nonempty"),
+        (([1.0], [ControlMode.V1G], []), "strategies must be nonempty"),
+    ],
+)
+def test_scenario_grid_checks_its_axes(axes, message):
+    with pytest.raises(ValueError) as exc:
+        scenario_grid(default_scenario(), *axes)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        simulator.ScenarioAxes(*(a for a in axes if a is not None))
+    assert str(exc.value) == message
