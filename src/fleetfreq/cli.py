@@ -32,7 +32,7 @@ from .config import (
     _section,
 )
 from .fleet import FleetConfig, InfeasibleChargingWindow, ProfileSettings, charging_profile
-from .grid import CALIFORNIA_LOW_INERTIA_MIX, INERTIA_PRESETS
+from .grid import INERTIA_PRESETS, grid_from_preset
 from .metrics import FrequencyMetrics, MetricsConfig
 from .simulator import (
     IntegrationError,
@@ -137,10 +137,7 @@ def _fractions(percents: str) -> list:
 
 
 def _h_preset(name: str) -> dict:
-    return {
-        "h_eff_s": INERTIA_PRESETS[name],
-        "s_base_mw": CALIFORNIA_LOW_INERTIA_MIX.total_power_mw,
-    }
+    return to_section(grid_from_preset(name), ("h_eff_s", "s_base_mw"))
 
 
 _TIME_FLAGS = (

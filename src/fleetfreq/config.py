@@ -16,14 +16,12 @@ from enum import Enum
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-from .controller import ControllerConfig
-from .fleet import ChargingStrategy, FleetConfig
+from .fleet import ChargingStrategy
 from .grid import (
     MIX_COLUMNS,
     GenerationMix,
     GenerationSource,
     finite_number,
-    grid_from_preset,
     inertial_mix,
     read_table,
 )
@@ -34,6 +32,7 @@ from .simulator import (
     Scenario,
     day_profile_row,
     day_profile_values,
+    default_scenario,
 )
 
 # Scenario fields read from and echoed to the "event" section; the other
@@ -225,20 +224,20 @@ def load_config_file(path: str | Path) -> dict:
 
 
 def scenario_from_config(cfg: dict) -> Scenario:
-    """Build the base scenario from a config dict, defaults applied.
+    """Build the base scenario from a config dict, overlaid on default_scenario().
 
     A mix sets h_eff_s and s_base_mw, so a grid section that gives either
     one next to a mix must give the value the mix derives.
     """
+    default = default_scenario()
     section = _section(cfg, "grid")
-    grid = from_section(section, grid_from_preset("table2_reported"), "grid")
-    base = Scenario(
+    grid = from_section(section, default.grid, "grid")
+    base = replace(
+        default,
         grid=grid,
         mix=mix_from_value(cfg.get("mix")),
-        fleet=from_section(_section(cfg, "fleet"), FleetConfig(), "fleet"),
-        controller=from_section(
-            _section(cfg, "controller"), ControllerConfig(), "controller"
-        ),
+        fleet=from_section(_section(cfg, "fleet"), default.fleet, "fleet"),
+        controller=from_section(_section(cfg, "controller"), default.controller, "controller"),
     )
     for key in ("h_eff_s", "s_base_mw"):
         given, used = getattr(grid, key), getattr(base.grid, key)

@@ -52,6 +52,7 @@ def latched(f, threshold_hz, triggered, latch_on):
 
 def ev_power_command(
     triggered: bool,
+    above_reserve: bool,
     config: ControllerConfig,
     fleet_state: FleetState,
     fleet: FleetConfig,
@@ -59,9 +60,9 @@ def ev_power_command(
     """Commanded fleet grid support in MW (positive = supporting the grid).
 
     V1G sheds the participating share of the instantaneous charging load and
-    can never exceed it. V2G additionally injects at rated discharge power,
-    except that the injection component is zeroed once mean SoC has fallen to
-    the mobility reserve.
+    can never exceed it. V2G additionally injects at rated discharge power
+    while above_reserve, the simulator's test that the mean SoC lies above
+    the mobility reserve; at or below it the injection component is zero.
     """
     if not triggered or fleet_state.plugged_count == 0:
         return 0.0
@@ -69,11 +70,7 @@ def ev_power_command(
     shed_mw = share * fleet_state.charging_power_kw
     if config.mode is ControlMode.V1G:
         return shed_mw
-    inject_kw = (
-        fleet.vehicle.discharge_kw
-        if fleet_state.mean_soc > fleet.vehicle.soc_reserve
-        else 0.0
-    )
+    inject_kw = fleet.vehicle.discharge_kw if above_reserve else 0.0
     inject_mw = share * inject_kw
     if config.v2g_includes_shed:
         return shed_mw + inject_mw

@@ -13,6 +13,8 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 
+from .grid import whole_steps
+
 MINUTES_PER_DAY = 1440.0
 
 
@@ -219,9 +221,7 @@ class ProfileSettings:
     def __post_init__(self) -> None:
         if self.step_min <= 0.0:
             raise ValueError("step_min must be > 0")
-        n = MINUTES_PER_DAY / self.step_min
-        if abs(n - round(n)) > 1e-9:
-            raise ValueError("step_min must divide 24 h")
+        whole_steps(MINUTES_PER_DAY, self.step_min, "step_min must divide 24 h")
 
 
 def charging_profile(
@@ -232,7 +232,7 @@ def charging_profile(
     per-vehicle SoC, as array('d') buffers (np.asarray views one without a
     copy)."""
     step_min = settings.step_min
-    clocks = array("d", (i * step_min for i in range(int(round(MINUTES_PER_DAY / step_min)))))
+    clocks = array("d", (i * step_min for i in range(whole_steps(MINUTES_PER_DAY, step_min))))
     per_vehicle = array("d", (charging_power_at(c, fleet.strategy, fleet.vehicle) for c in clocks))
     soc = array("d", (soc_at(c, fleet.strategy, fleet.vehicle) for c in clocks))
     mw = array("d", (fleet.n_vehicles * p / 1000.0 for p in per_vehicle))

@@ -81,6 +81,16 @@ def finite_number(value, where: str) -> float:
     return float(value) + 0.0
 
 
+def whole_steps(span: float, step: float, error: str = "step must divide span") -> int:
+    """The number of steps of size step in span; ValueError(error) unless
+    span / step is finite and within 1e-9 of a whole number >= 1."""
+    n = span / step
+    count = round(n) if math.isfinite(n) else 0
+    if count < 1 or abs(n - count) > 1e-9:
+        raise ValueError(error)
+    return count
+
+
 def _cell(kind: type, value, where: str):
     """A table cell checked as its column's kind: float or non-empty str."""
     if kind is float:

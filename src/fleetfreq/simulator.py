@@ -53,6 +53,7 @@ from .grid import (
     grid_from_preset,
     inertial_mix,
     read_table,
+    whole_steps,
     _rhs,
 )
 from . import metrics as metrics_mod
@@ -105,9 +106,7 @@ class Scenario:
             raise ValueError("step_s must be > 0")
         if self.horizon_s < 10.0 * self.step_s:
             raise ValueError("horizon_s must cover at least 10 steps")
-        n = self.horizon_s / self.step_s
-        if abs(n - round(n)) > 1e-9:
-            raise ValueError("step_s must divide horizon_s")
+        whole_steps(self.horizon_s, self.step_s, "step_s must divide horizon_s")
         if self.disturbance_mw < 0.0:
             raise ValueError("disturbance_mw must be >= 0")
         if not 0.0 <= self.event_time_s < self.horizon_s:
@@ -180,18 +179,14 @@ def _cell(scenario: Scenario) -> _Cell:
     fleet = scenario.fleet
     controller = scenario.controller
     fs0 = fleet_state_at(scenario.clock_min, fleet)
-    # The command depends on the state only through the latch and the SoC
-    # reserve gate, so it is tabulated per gate, still computed by the
-    # controller functions themselves. They read the SoC only against the
-    # reserve, so SoC 0 stands for "at or below" it and SoC 1 for "above" it
-    # (an entry that a reserve of 1 never selects).
-    states = [replace(fs0, mean_soc=soc) for soc in (0.0, 1.0)]
+    # The command depends on the state only through the gate, so it is
+    # tabulated per gate, still computed by the controller functions.
     commands, soc_rates = [], []
     for triggered in (False, True):
-        for fs in states:
-            cmd_mw = ev_power_command(triggered, controller, fs, fleet)
+        for above_reserve in (False, True):
+            cmd_mw = ev_power_command(triggered, above_reserve, controller, fs0, fleet)
             commands.append(cmd_mw / grid.s_base_mw)
-            soc_rates.append(soc_rate_under_command(cmd_mw, fs, fleet))
+            soc_rates.append(soc_rate_under_command(cmd_mw, fs0, fleet))
     return _Cell(
         f0=grid.f_nominal_hz,
         two_h=2.0 * grid.h_eff_s,
@@ -273,7 +268,7 @@ def simulate(scenario: Scenario) -> Trajectory:
     """
     c = _cell(scenario)
     dt = scenario.step_s
-    n_steps = int(round(scenario.horizon_s / dt))
+    n_steps = whole_steps(scenario.horizon_s, dt)
     event_time = scenario.event_time_s
     f0, reserve, soc_rates = c.f0, c.soc_reserve, c.soc_rates
     threshold_hz, latch_on = c.threshold_hz, c.latch_on
@@ -500,7 +495,7 @@ def _grid_metrics(
     import numpy as np
 
     dt, event_time_s = first.step_s, first.event_time_s
-    n = int(round(first.horizon_s / dt)) + 1
+    n = whole_steps(first.horizon_s, dt) + 1
     times = np.arange(n) * dt
     try:
         i0, i1, step = metrics_mod.rocof_window(times, event_time_s, settings.rocof_window_s)

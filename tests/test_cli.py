@@ -242,6 +242,32 @@ def test_simulate_bad_config_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+# A step count that overflows to inf, or that rounds to 0, does not divide
+# its span: exit 2 naming the keys, with no traceback and no output.
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        *(
+            (command, flag, value)
+            for command in ("simulate", "sweep", "daily")
+            for flag, value in (("--horizon", "1e308"), ("--step", "1e-320"))
+        ),
+        ("profile", "--step-min", "1e-320"),
+        ("profile", "--step-min", "1e13"),
+    ],
+)
+def test_a_step_count_that_is_not_whole_exit_2(tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out.csv"
+    assert main([command, flag, value, "--out", str(out)]) == 2
+    message = (
+        "profile: step_min must divide 24 h"
+        if command == "profile"
+        else "event: step_s must divide horizon_s"
+    )
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # Runs fleetfreq.cli.main(argv) in an interpreter where importing numpy
 # raises ImportError, and exits with its code.
 WITHOUT_NUMPY = """

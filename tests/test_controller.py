@@ -28,6 +28,7 @@ CHARGING_PEAK = FleetState(1200.0, 15000, 100.0, 0.2 + 400.0 / 875.0)
 IDLE_AT_DEPOT = FleetState(1200.0, 15000, 0.0, 0.5)
 FLEET = FleetConfig(n_vehicles=15000)
 TRIGGERED = True
+ABOVE_RESERVE = True
 THRESHOLD = ControllerConfig().threshold_hz
 
 
@@ -91,45 +92,44 @@ def test_latch_consistency_validated():
 
 
 def test_untriggered_command_is_zero():
-    assert ev_power_command(False, make_config(), CHARGING_PEAK, FLEET) == 0.0
+    assert ev_power_command(False, ABOVE_RESERVE, make_config(), CHARGING_PEAK, FLEET) == 0.0
 
 
 def test_zero_participation_command_is_zero():
     config = make_config(participation=0.0, mode=ControlMode.V2G)
-    assert ev_power_command(TRIGGERED, config, CHARGING_PEAK, FLEET) == 0.0
+    assert ev_power_command(TRIGGERED, ABOVE_RESERVE, config, CHARGING_PEAK, FLEET) == 0.0
 
 
 def test_v1g_sheds_charging_load():
     config = make_config(mode=ControlMode.V1G)
-    got = ev_power_command(TRIGGERED, config, CHARGING_PEAK, FLEET)
+    got = ev_power_command(TRIGGERED, ABOVE_RESERVE, config, CHARGING_PEAK, FLEET)
     assert got == pytest.approx(1500.0)
 
 
 def test_v2g_sheds_and_injects():
     config = make_config(mode=ControlMode.V2G)
-    got = ev_power_command(TRIGGERED, config, CHARGING_PEAK, FLEET)
+    got = ev_power_command(TRIGGERED, ABOVE_RESERVE, config, CHARGING_PEAK, FLEET)
     assert got == pytest.approx(3000.0)
 
 
 def test_v2g_injection_only_when_not_charging():
     config = make_config(mode=ControlMode.V2G)
-    got = ev_power_command(TRIGGERED, config, IDLE_AT_DEPOT, FLEET)
+    got = ev_power_command(TRIGGERED, ABOVE_RESERVE, config, IDLE_AT_DEPOT, FLEET)
     assert got == pytest.approx(1500.0)
 
 
 def test_v2g_soc_guard_blocks_injection():
+    # At or below the reserve, V2G only sheds, as V1G does.
     config = make_config(mode=ControlMode.V2G)
-    at_reserve = FleetState(1200.0, 15000, 100.0, 0.3)
-    below = FleetState(1200.0, 15000, 100.0, 0.2)
-    for state in (at_reserve, below):
-        v2g = ev_power_command(TRIGGERED, config, state, FLEET)
-        v1g = ev_power_command(TRIGGERED, make_config(), state, FLEET)
-        assert v2g == v1g == pytest.approx(1500.0)
+    for state, shed_mw in ((CHARGING_PEAK, 1500.0), (IDLE_AT_DEPOT, 0.0)):
+        v2g = ev_power_command(TRIGGERED, False, config, state, FLEET)
+        v1g = ev_power_command(TRIGGERED, False, make_config(), state, FLEET)
+        assert v2g == v1g == pytest.approx(shed_mw)
 
 
 def test_v2g_without_shed_flag():
     config = make_config(mode=ControlMode.V2G, v2g_includes_shed=False)
-    got = ev_power_command(TRIGGERED, config, CHARGING_PEAK, FLEET)
+    got = ev_power_command(TRIGGERED, ABOVE_RESERVE, config, CHARGING_PEAK, FLEET)
     assert got == pytest.approx(1500.0)
 
 
@@ -141,39 +141,35 @@ state_st = st.tuples(
 participation_st = st.floats(0.0, 1.0)
 
 
-@given(state=state_st, participation=participation_st)
+@given(state=state_st, above=st.booleans(), participation=participation_st)
 # The injection share * discharge_kw underflows to 0.0 here.
-@example(state=FleetState(1200.0, 1, 0.0, 1.0), participation=5e-324)
-def test_mode_dominance(state, participation):
+@example(state=FleetState(1200.0, 1, 0.0, 1.0), above=True, participation=5e-324)
+def test_mode_dominance(state, above, participation):
     v1g = ev_power_command(
-        TRIGGERED, make_config(participation=participation), state, FLEET
+        TRIGGERED, above, make_config(participation=participation), state, FLEET
     )
     v2g = ev_power_command(
         TRIGGERED,
+        above,
         make_config(participation=participation, mode=ControlMode.V2G),
         state,
         FLEET,
     )
     assert v2g >= v1g
     injection_mw = participation * state.plugged_count / 1000.0 * FLEET.vehicle.discharge_kw
-    if (
-        participation > 0.0
-        and state.plugged_count > 0
-        and state.mean_soc > FLEET.vehicle.soc_reserve
-        and injection_mw > 0.0
-    ):
+    if participation > 0.0 and state.plugged_count > 0 and above and injection_mw > 0.0:
         assert v2g > v1g
 
 
-@given(state=state_st, p1=participation_st, p2=participation_st)
-def test_command_monotone_in_participation(state, p1, p2):
+@given(state=state_st, above=st.booleans(), p1=participation_st, p2=participation_st)
+def test_command_monotone_in_participation(state, above, p1, p2):
     lo, hi = sorted((p1, p2))
     for mode in ControlMode:
         c_lo = ev_power_command(
-            TRIGGERED, make_config(participation=lo, mode=mode), state, FLEET
+            TRIGGERED, above, make_config(participation=lo, mode=mode), state, FLEET
         )
         c_hi = ev_power_command(
-            TRIGGERED, make_config(participation=hi, mode=mode), state, FLEET
+            TRIGGERED, above, make_config(participation=hi, mode=mode), state, FLEET
         )
         assert c_lo <= c_hi + 1e-12
 
@@ -182,21 +178,22 @@ def test_command_monotone_in_participation(state, p1, p2):
     plugged=st.integers(1, 10000),
     k=st.integers(1, 4),
     power=st.floats(0.0, 100.0),
+    above=st.booleans(),
     participation=participation_st,
 )
-def test_command_linear_in_plugged_count(plugged, k, power, participation):
+def test_command_linear_in_plugged_count(plugged, k, power, above, participation):
     config = make_config(participation=participation, mode=ControlMode.V2G)
     base = FleetState(1200.0, plugged, power, 0.8)
     scaled = FleetState(1200.0, k * plugged, power, 0.8)
-    c1 = ev_power_command(TRIGGERED, config, base, FLEET)
-    c2 = ev_power_command(TRIGGERED, config, scaled, FLEET)
+    c1 = ev_power_command(TRIGGERED, above, config, base, FLEET)
+    c2 = ev_power_command(TRIGGERED, above, config, scaled, FLEET)
     assert c2 == pytest.approx(k * c1, rel=1e-12, abs=1e-12)
 
 
-@given(state=state_st, participation=participation_st)
-def test_v1g_never_exceeds_charging_load(state, participation):
+@given(state=state_st, above=st.booleans(), participation=participation_st)
+def test_v1g_never_exceeds_charging_load(state, above, participation):
     config = make_config(participation=participation)
-    got = ev_power_command(TRIGGERED, config, state, FLEET)
+    got = ev_power_command(TRIGGERED, above, config, state, FLEET)
     load_mw = state.plugged_count * state.charging_power_kw / 1000.0
     assert got <= load_mw + 1e-12
 

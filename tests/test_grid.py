@@ -17,6 +17,7 @@ from fleetfreq.grid import (
     grid_from_mix,
     grid_from_preset,
     steady_state_deviation,
+    whole_steps,
     _rhs,
 )
 from fleetfreq.simulator import _cell, default_scenario
@@ -243,6 +244,24 @@ def test_inertia_presets():
     assert grid.s_base_mw == pytest.approx(19830.0)
     with pytest.raises(ValueError, match="unknown inertia preset"):
         grid_from_preset("nameplate")
+
+
+@pytest.mark.parametrize(
+    "span, step, count",
+    [(60.0, 0.01, 6000), (1440.0, 15.0, 96), (1440.0, 1440.0, 1), (0.3, 0.1, 3)],
+)
+def test_whole_steps_counts_the_steps(span, step, count):
+    assert whole_steps(span, step) == count
+
+
+# Not whole, fewer than one step (1440 / 1e13 rounds to 0), and a count
+# that overflows to inf.
+@pytest.mark.parametrize(
+    "span, step", [(60.0, 0.07), (1440.0, 2000.0), (1440.0, 1e13), (60.0, 1e-320), (1e308, 0.01)]
+)
+def test_whole_steps_rejects_what_is_not_a_whole_count(span, step):
+    with pytest.raises(ValueError, match="step must divide span"):
+        whole_steps(span, step)
 
 
 def test_grid_from_mix():

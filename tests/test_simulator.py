@@ -180,6 +180,24 @@ def test_soc_guard_cuts_injection_mid_trajectory():
     assert traj.p_ev_pu[-1] == pytest.approx(0.0, abs=1e-6)
 
 
+def test_v2g_injects_only_above_the_reserve():
+    # At 16:40 a delayed fleet is plugged in, not yet charging, at its return
+    # SoC 0.2. The reserve gate is SoC strictly above the reserve, so with
+    # the reserve at 0.2 V2G injects nothing, as V1G sheds nothing.
+    def run(mode, soc_reserve):
+        vehicle = VehicleClass(soc_reserve=soc_reserve)
+        fleet = FleetConfig(vehicle=vehicle, strategy=ChargingStrategy.DELAYED)
+        scenario = default_scenario(fleet=fleet, clock_min=1000.0, horizon_s=10.0)
+        return simulate(with_controller(scenario, mode=mode, participation=1.0))
+
+    at_reserve = run(ControlMode.V2G, 0.2)
+    assert at_reserve.mean_soc[0] == 0.2
+    assert at_reserve.latch_time_s is not None
+    assert max(at_reserve.p_ev_pu) == 0.0
+    assert at_reserve == run(ControlMode.V1G, 0.2)
+    assert max(run(ControlMode.V2G, 0.19).p_ev_pu) > 0.0
+
+
 def test_soc_rises_while_charging_pre_event():
     traj = simulate(default_scenario(disturbance_mw=0.0))
     assert traj.mean_soc[-1] > traj.mean_soc[0]
