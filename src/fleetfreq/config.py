@@ -24,6 +24,7 @@ from .grid import (
     finite_number,
     inertial_mix,
     read_table,
+    shown,
 )
 from .metrics import MetricsConfig
 from .simulator import (
@@ -89,11 +90,11 @@ def _coerce(tp, value, where: str):
         return int(number)
     if tp is bool:
         if not isinstance(value, bool):
-            raise ValueError(f"{where} must be true or false, got {value!r}")
+            raise ValueError(f"{where} must be true or false, got {shown(value)}")
         return value
     if get_origin(tp) is list:
         if not isinstance(value, list):
-            raise ValueError(f"{where} must be a list, got {value!r}")
+            raise ValueError(f"{where} must be a list, got {shown(value)}")
         (item,) = get_args(tp)
         return [_coerce(item, v, f"{where}[{i}]") for i, v in enumerate(value)]
     # An enum: ChargingStrategy or ControlMode, by its value in any case.
@@ -102,7 +103,7 @@ def _coerce(tp, value, where: str):
     except ValueError:
         noun = "strategy" if tp is ChargingStrategy else "mode"
         valid = ", ".join(member.value for member in tp)
-        raise ValueError(f"{where}: unknown {noun} {value!r} (valid: {valid})") from None
+        raise ValueError(f"{where}: unknown {noun} {shown(value)} (valid: {valid})") from None
 
 
 def from_section(section: dict, base, where: str, names=None):

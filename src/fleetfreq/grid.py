@@ -69,6 +69,14 @@ def inertial_mix(sources) -> GenerationMix:
     return mix
 
 
+def shown(value) -> str:
+    """A config value as an error names it: JSON's true, false and null as
+    JSON spells them, any other value by its repr."""
+    if value is None or isinstance(value, bool):
+        return {None: "null", True: "true", False: "false"}[value]
+    return repr(value)
+
+
 def finite_number(value, where: str) -> float:
     """A finite number, as a float; a bool, a string or a non-finite value is
     rejected with where named. -0 reads as 0.0, so that it is written as 0."""
@@ -77,7 +85,7 @@ def finite_number(value, where: str) -> float:
         or not isinstance(value, (int, float))
         or not abs(value) <= sys.float_info.max
     ):
-        raise ValueError(f"{where} must be a finite number, got {value!r}")
+        raise ValueError(f"{where} must be a finite number, got {shown(value)}")
     return float(value) + 0.0
 
 
@@ -96,7 +104,7 @@ def _cell(kind: type, value, where: str):
     if kind is float:
         return finite_number(value, where)
     if not isinstance(value, str) or not value.strip():
-        raise ValueError(f"{where} must be a non-empty string, got {value!r}")
+        raise ValueError(f"{where} must be a non-empty string, got {shown(value)}")
     return value.strip()
 
 
@@ -248,9 +256,9 @@ def _rhs(
     p_ev: float,
     disturbance_pu: float,
     ev_command_pu: float,
-    two_h: float,
+    h_eff_s: float,
     damping: float,
-    inv_droop: float,
+    droop: float,
     t_gov: float,
     t_turb: float,
     t_ev: float,
@@ -259,17 +267,17 @@ def _rhs(
 
     Positive disturbance means lost generation; positive command means grid
     support (shed load and/or injection). The mean SoC derivative is owned
-    by the fleet coupling in the simulator. Elementwise: the simulator's
-    affine RK4 map reads the model's matrices from it, for one cell in
-    floats or for a batch in arrays.
+    by the fleet coupling in the simulator. Elementwise: the simulator reads
+    its affine map off one RK4 step of it, for one cell in floats or for a
+    batch in arrays.
     """
     # Swing: 2H d(df)/dt = p_mech + p_ev - disturbance - D*df
     # Governor: TG d(pg)/dt = -df/R - pg
     # Turbine: TT d(pm)/dt = pg - pm
     # EV lag:  TEV d(pev)/dt = command - pev
     return (
-        (p_mech + p_ev - disturbance_pu - damping * delta_f) / two_h,
-        (-delta_f * inv_droop - p_gov) / t_gov,
+        (p_mech + p_ev - disturbance_pu - damping * delta_f) / (2.0 * h_eff_s),
+        (-delta_f / droop - p_gov) / t_gov,
         (p_gov - p_mech) / t_turb,
         (ev_command_pu - p_ev) / t_ev,
     )

@@ -90,6 +90,11 @@ def tail_count(n_samples: int, tail_fraction: float) -> int:
     return max(1, int(round(tail_fraction * n_samples)))
 
 
+def outside_band(f, f_ss, band_hz):
+    """Whether each frequency lies outside the settling band about f_ss."""
+    return abs(f - f_ss) > band_hz
+
+
 def evaluate(traj: Trajectory, settings: MetricsConfig = MetricsConfig()) -> FrequencyMetrics:
     """All metrics of one trajectory, each defined here:
 
@@ -116,7 +121,7 @@ def evaluate(traj: Trajectory, settings: MetricsConfig = MetricsConfig()) -> Fre
     i0, i1, step = rocof_window(t, traj.event_time_s, settings.rocof_window_s)
     i = int(np.argmin(f))
     f_ss = float(np.mean(f[-tail_count(len(f), settings.tail_fraction) :]))
-    outside = np.flatnonzero(np.abs(f - f_ss) > settings.settling_band_hz)
+    outside = np.flatnonzero(outside_band(f, f_ss, settings.settling_band_hz))
     settled = int(outside[-1]) + 1 if len(outside) else 0
     return FrequencyMetrics(
         nadir_hz=float(f[i]),

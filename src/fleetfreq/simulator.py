@@ -4,7 +4,8 @@ A contingency scenario is integrated with fixed-step classical RK4. The
 disturbance is a pure generation-loss step; the controller threshold check
 and command update happen once per step at the step boundary and are held
 constant within the step. The model is linear, so each RK4 step is taken as
-one affine map per cell, built once from grid._rhs. Participation sweeps and
+one affine map per cell, read off one RK4 step of grid._rhs from each unit
+state and from rest under each held input. Participation sweeps and
 the 96-interval daily nadir scan are both one scenario grid. Cells with the
 same constants are the same integration, so each distinct cell is stepped
 once, all of them together as numpy arrays by the same arithmetic, and the
@@ -157,9 +158,9 @@ class _Cell(NamedTuple):
     kernel: floats for one cell, or one array per field for a batch."""
 
     f0: float
-    two_h: float
+    h_eff_s: float
     damping: float
-    inv_droop: float
+    droop: float
     t_gov: float
     t_turb: float
     t_ev: float
@@ -189,9 +190,9 @@ def _cell(scenario: Scenario) -> _Cell:
             soc_rates.append(soc_rate_under_command(cmd_mw, fs0, fleet))
     return _Cell(
         f0=grid.f_nominal_hz,
-        two_h=2.0 * grid.h_eff_s,
+        h_eff_s=grid.h_eff_s,
         damping=grid.damping_pu,
-        inv_droop=1.0 / grid.droop_pu,
+        droop=grid.droop_pu,
         t_gov=grid.t_governor_s,
         t_turb=grid.t_turbine_s,
         t_ev=grid.t_ev_s,
@@ -205,57 +206,35 @@ def _cell(scenario: Scenario) -> _Cell:
     )
 
 
-def _matmul(a, b):
-    """The product of a 4x4 matrix and a matrix of 4 rows, both given as
-    lists of rows, with each entry summed in a fixed order."""
-    return [
-        [
-            a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j] + a[i][3] * b[3][j]
-            for j in range(len(b[0]))
-        ]
-        for i in range(4)
-    ]
-
-
 def _affine_map(c: _Cell, dt):
     """One classical RK4 step of the four grid deviation states, as the map
     x -> phi x + offsets[event][gate].
 
     The model is linear and the disturbance (0 before the event, dp_pu from
-    it) and the command of the gate are held over the step, so RK4 is exactly
-    phi = I + hA psi and offset = psi (hB_d d + hB_c cmd), with
-    psi = I + hA/2 (I + hA/3 (I + hA/4)) (the RK4 stability polynomial). The
-    columns of hA and the input vectors hB_d and hB_c come from _rhs on unit
-    states and unit inputs, so _rhs stays the one definition of the model.
+    it) and the command of the gate are held over the step, so the step is
+    exactly affine, and the map is read off the step itself: column j of phi
+    is one step of _rhs from unit state j with no inputs, and each offset is
+    one step from rest under its side's disturbance and its gate's command.
 
-    phi is a 4x4 list of rows, each offset a list of 4 values. Elementwise
+    phi is given as its 4 columns, each offset as 4 values. Elementwise
     only: simulate passes floats and the grid kernel one array per field,
     and each cell's map has the same bits either way.
     """
-    model = (c.two_h, c.damping, c.inv_droop, c.t_gov, c.t_turb, c.t_ev)
-    eye = [[float(i == j) for j in range(4)] for i in range(4)]
-    # Column j of hA is h times the derivative at unit state j; the columns
-    # of hB are h times the derivatives at a unit disturbance and command.
-    columns = (_rhs(*unit, 0.0, 0.0, *model) for unit in eye)
-    ha = [[dt * a for a in row] for row in zip(*columns)]
-    unit_d = _rhs(0.0, 0.0, 0.0, 0.0, 1.0, 0.0, *model)
-    unit_cmd = _rhs(0.0, 0.0, 0.0, 0.0, 0.0, 1.0, *model)
-    hb = [[dt * d, dt * cmd] for d, cmd in zip(unit_d, unit_cmd)]
-    # Horner form; each comprehension drops the product it sums, which keeps
-    # a batch's temporaries few.
-    psi = eye
-    for m in (4.0, 3.0, 2.0):
-        psi = [
-            [eye[i][j] + p / m for j, p in enumerate(row)]
-            for i, row in enumerate(_matmul(ha, psi))
+    model = (c.h_eff_s, c.damping, c.droop, c.t_gov, c.t_turb, c.t_ev)
+
+    def step(x, d, cmd):
+        k1 = _rhs(*x, d, cmd, *model)
+        k2 = _rhs(*(a + 0.5 * dt * k for a, k in zip(x, k1)), d, cmd, *model)
+        k3 = _rhs(*(a + 0.5 * dt * k for a, k in zip(x, k2)), d, cmd, *model)
+        k4 = _rhs(*(a + dt * k for a, k in zip(x, k3)), d, cmd, *model)
+        return [
+            a + dt / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
         ]
-    phi = [[eye[i][j] + p for j, p in enumerate(row)] for i, row in enumerate(_matmul(ha, psi))]
-    g = _matmul(psi, hb)
-    offsets = [
-        [[g_d * d + g_c * c.commands[gate] for g_d, g_c in g] for gate in range(4)]
-        for d in (0.0, c.dp_pu)
-    ]
-    return phi, offsets
+
+    columns = [step([float(i == j) for i in range(4)], 0.0, 0.0) for j in range(4)]
+    offsets = [[step([0.0] * 4, d, cmd) for cmd in c.commands] for d in (0.0, c.dp_pu)]
+    return columns, offsets
 
 
 def simulate(scenario: Scenario) -> Trajectory:
@@ -272,9 +251,9 @@ def simulate(scenario: Scenario) -> Trajectory:
     event_time = scenario.event_time_s
     f0, reserve, soc_rates = c.f0, c.soc_reserve, c.soc_rates
     threshold_hz, latch_on = c.threshold_hz, c.latch_on
-    phi, offsets = _affine_map(c, dt)
-    (p00, p01, p02, p03), (p10, p11, p12, p13) = phi[:2]
-    (p20, p21, p22, p23), (p30, p31, p32, p33) = phi[2:]
+    columns, offsets = _affine_map(c, dt)
+    (p00, p10, p20, p30), (p01, p11, p21, p31) = columns[:2]
+    (p02, p12, p22, p32), (p03, p13, p23, p33) = columns[2:]
 
     series = [array("d") for _ in range(5)]
     put_t, put_f, put_pm, put_pev, put_soc = (buf.append for buf in series)
@@ -405,8 +384,8 @@ def _step_cells(cells: _Cell, dt: float, event_time_s: float, n_samples: int):
     n = len(cells.f0)
     # phi_cols[j][i] is phi[i][j] of every cell. The offsets (per event side)
     # and the SoC steps are flat, so that entry 4 * cell + gate is the cell's.
-    phi, offsets = _affine_map(cells, dt)
-    phi_cols = np.transpose(phi, (1, 0, 2)).copy()
+    columns, offsets = _affine_map(cells, dt)
+    phi_cols = np.array(columns)
     offs = tuple(np.transpose(offsets, (0, 2, 3, 1)).reshape(2, 4, 4 * n))
     # rate * dt per table entry has the bits of the gathered rate times dt.
     soc_steps = cells.soc_rates.T.ravel() * dt
@@ -538,9 +517,10 @@ def _grid_metrics(
     # Exact, because rounding keeps f - f_ss monotone in f, so a block's
     # extremes bound the deviation of all its samples. A cell whose last
     # sample is outside needs no replay to find it.
-    outside = (np.abs(block_max - f_ss) > band_hz) | (np.abs(block_min - f_ss) > band_hz)
+    outside_band = metrics_mod.outside_band
+    outside = outside_band(block_max, f_ss, band_hz) | outside_band(block_min, f_ss, band_hz)
     last_block = np.where(outside, np.arange(n_blocks)[:, None], -1).max(axis=0)
-    ends_outside = np.abs(tail[:, -1] - f_ss) > band_hz
+    ends_outside = outside_band(tail[:, -1], f_ss, band_hz)
     last_block[ends_outside] = -1
     # Replay every cell to the last block that one needs: the first block
     # holding its nadir, or its last block outside the band. The replay
@@ -554,7 +534,7 @@ def _grid_metrics(
         k = np.arange(k0, k0 + len(f))[:, None]
         np.minimum(i_nadir, np.where(f == nadirs, k, n).min(axis=0), out=i_nadir)
         np.maximum(max_after, np.where(k > i_nadir, f, -np.inf).max(axis=0), out=max_after)
-        out = np.abs(f - f_ss) > band_hz
+        out = outside_band(f, f_ss, band_hz)
         np.maximum(last_outside, np.where(out, k, -1).max(axis=0), out=last_outside)
     # The blocks not replayed lie after every cell's nadir.
     np.maximum(max_after, block_max[replayed:].max(axis=0, initial=-np.inf), out=max_after)

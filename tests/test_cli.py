@@ -242,6 +242,36 @@ def test_simulate_bad_config_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+# A JSON true, false or null is named as JSON spells it, not as Python does.
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("simulate", {"fleet": {"n_vehicles": True}}, "n_vehicles must be a finite number, got true"),
+        ("simulate", {"fleet": {"n_vehicles": None}}, "n_vehicles must be a finite number, got null"),
+        ("simulate", {"controller": {"latch_on": None}}, "latch_on must be true or false, got null"),
+        ("simulate", {"controller": {"mode": False}}, "controller.mode: unknown mode false"),
+        (
+            "simulate",
+            {"mix": [{"source": "gas", "h_seconds": 4.9}]},
+            "mix[1].power_mw must be a finite number, got null",
+        ),
+        (
+            "simulate",
+            {"mix": [{"source": None, "h_seconds": 4.9, "power_mw": 8000.0}]},
+            "mix[1].source must be a non-empty string, got null",
+        ),
+        ("sweep", {"sweep": {"levels": False}}, "sweep.levels must be a list, got false"),
+    ],
+)
+def test_a_json_literal_is_named_as_json(tmp_path, capsys, command, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # A step count that overflows to inf, or that rounds to 0, does not divide
 # its span: exit 2 naming the keys, with no traceback and no output.
 @pytest.mark.parametrize(

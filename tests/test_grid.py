@@ -42,8 +42,8 @@ def rhs(state, disturbance_pu, command_pu, params):
     """The dynamics RHS at a (df, p_gov, p_mech, p_ev) state, as simulate
     parameterizes it."""
     return _rhs(
-        *state, disturbance_pu, command_pu, 2.0 * params.h_eff_s, params.damping_pu,
-        1.0 / params.droop_pu, params.t_governor_s, params.t_turbine_s, params.t_ev_s,
+        *state, disturbance_pu, command_pu, params.h_eff_s, params.damping_pu,
+        params.droop_pu, params.t_governor_s, params.t_turbine_s, params.t_ev_s,
     )
 
 

@@ -262,7 +262,7 @@ def test_rk4_fourth_order_on_aligned_samples():
 
 
 def textbook_rk4_step(c, x, d, cmd, dt):
-    model = (c.two_h, c.damping, c.inv_droop, c.t_gov, c.t_turb, c.t_ev)
+    model = (c.h_eff_s, c.damping, c.droop, c.t_gov, c.t_turb, c.t_ev)
 
     def rhs(y):
         return np.array(_rhs(*y, d, cmd, *model))
@@ -291,17 +291,32 @@ def test_affine_map_step_is_one_rk4_step(name, dt):
     # step of it must agree with k1..k4 up to rounding, for random states,
     # both disturbance values and every gate.
     c = simulator._cell(rk4_map_cells()[name])
-    phi, offsets = simulator._affine_map(c, dt)
+    columns, offsets = simulator._affine_map(c, dt)
     rng = np.random.default_rng(7)
     for x in rng.uniform(-0.05, 0.05, size=(10, 4)):
         for side, d in enumerate((0.0, c.dp_pu)):
             for gate in range(4):
                 step = [
-                    row[0] * x[0] + row[1] * x[1] + row[2] * x[2] + row[3] * x[3] + o
-                    for row, o in zip(phi, offsets[side][gate])
+                    columns[0][i] * x[0] + columns[1][i] * x[1] + columns[2][i] * x[2]
+                    + columns[3][i] * x[3] + o
+                    for i, o in enumerate(offsets[side][gate])
                 ]
                 expected = textbook_rk4_step(c, x, d, c.commands[gate], dt)
                 assert step == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("name", list(rk4_map_cells()))
+@pytest.mark.parametrize("dt", [0.001, 0.01, 0.2, 1.0])
+def test_affine_map_is_exactly_one_rk4_step(name, dt):
+    # Column j of phi is the step from unit state j with no inputs, and each
+    # offset the step from rest under its disturbance and command, bit for bit.
+    c = simulator._cell(rk4_map_cells()[name])
+    columns, offsets = simulator._affine_map(c, dt)
+    for j, column in enumerate(columns):
+        assert column == list(textbook_rk4_step(c, np.eye(4)[j], 0.0, 0.0, dt))
+    for side, d in enumerate((0.0, c.dp_pu)):
+        for gate, cmd in enumerate(c.commands):
+            assert offsets[side][gate] == list(textbook_rk4_step(c, np.zeros(4), d, cmd, dt))
 
 
 def test_divergence_detected():
