@@ -16,7 +16,7 @@ import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import __version__
 from .config import (
@@ -56,15 +56,11 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-# Rows per write: each chunk is joined and written on its own, so that the
-# text of the whole output never exists at once.
-WRITE_CHUNK_ROWS = 4096
-
-
-def write_atomic(path: str | Path, header: str, rows: list[str]) -> None:
-    """Write the header, then one line per row, via a temp file and rename;
-    no partial file survives a failure. An OSError names path, not the temp
-    file, which the caller never asked for."""
+def write_atomic(path: str | Path, header: str, lines: Iterable[str]) -> None:
+    """Write the header, then the lines (each ending in a newline) one at a
+    time as they are made, via a temp file and rename; no partial file
+    survives a failure, one raised while making a line included. An OSError
+    names path, not the temp file, which the caller never asked for."""
     path = Path(path)
     try:
         fd, tmp = tempfile.mkstemp(
@@ -73,8 +69,7 @@ def write_atomic(path: str | Path, header: str, rows: list[str]) -> None:
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(header)
-                for i in range(0, len(rows), WRITE_CHUNK_ROWS):
-                    fh.write("\n".join(rows[i : i + WRITE_CHUNK_ROWS]) + "\n")
+                fh.writelines(lines)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -86,12 +81,12 @@ def write_atomic(path: str | Path, header: str, rows: list[str]) -> None:
         raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
-def _write(args, command: str, echo: dict, columns: str, rows: list[str], what: str) -> int:
+def _write(args, command: str, echo: dict, columns: str, lines: Iterable[str], what: str) -> int:
     """Write --out: the header echoing the resolved config, the column names,
-    then one line per row."""
+    then the lines; what counts them for the closing message."""
     header = f"# fleetfreq {command}\n# config = {canonical_json(echo)}\n{columns}\n"
-    write_atomic(args.out, header, rows)
-    print(f"wrote {args.out} ({len(rows)} {what})", file=sys.stderr)
+    write_atomic(args.out, header, lines)
+    print(f"wrote {args.out} ({what})", file=sys.stderr)
     return 0
 
 
@@ -227,9 +222,10 @@ def cmd_simulate(args) -> int:
     metrics_from_config(cfg)  # checked, though a trajectory has no metrics
     traj = simulate(scenario)
     arrays = (traj.times_s, traj.frequency_hz, traj.p_mech_pu, traj.p_ev_pu, traj.mean_soc)
-    rows = ["%.6f,%.6f,%.6f,%.6f,%.6f" % row for row in zip(*arrays)]
+    lines = ("%.6f,%.6f,%.6f,%.6f,%.6f\n" % row for row in zip(*arrays))
     echo = scenario_to_config(scenario)
-    return _write(args, "simulate", echo, TRAJECTORY_COLUMNS, rows, "samples")
+    what = f"{len(traj.times_s)} samples"
+    return _write(args, "simulate", echo, TRAJECTORY_COLUMNS, lines, what)
 
 
 def _metrics_row(scenario_id: str, s: Scenario, m: FrequencyMetrics) -> str:
@@ -281,8 +277,8 @@ def _write_grid(
     except IntegrationError as exc:
         exc.args = (f"{ids[exc.cell]}: {exc}",)
         raise
-    rows = [_metrics_row(sid, s, m) for sid, s, m in zip(ids, scenarios, results)]
-    return _write(args, command, echo, METRICS_COLUMNS, rows, "cells")
+    lines = (_metrics_row(sid, s, m) + "\n" for sid, s, m in zip(ids, scenarios, results))
+    return _write(args, command, echo, METRICS_COLUMNS, lines, f"{len(ids)} cells")
 
 
 def cmd_sweep(args) -> int:
@@ -323,10 +319,11 @@ def cmd_profile(args) -> int:
     cfg = _load_cfg(args)
     fleet = from_section(_section(cfg, "fleet"), FleetConfig(), "fleet")
     profile = from_section(_section(cfg, "profile"), ProfileSettings(), "profile")
-    rows = [",".join(map(_fmt, row)) for row in zip(*charging_profile(fleet, profile))]
+    series = charging_profile(fleet, profile)
+    lines = (",".join(map(_fmt, row)) + "\n" for row in zip(*series))
 
     echo = {"fleet": to_section(fleet), "profile": to_section(profile)}
-    return _write(args, "profile", echo, PROFILE_COLUMNS, rows, "samples")
+    return _write(args, "profile", echo, PROFILE_COLUMNS, lines, f"{len(series[0])} samples")
 
 
 # ---------------------------------------------------------------------------

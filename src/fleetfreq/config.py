@@ -31,9 +31,9 @@ from .simulator import (
     DAY_PROFILE_COLUMNS,
     DayProfile,
     Scenario,
-    day_profile_row,
     day_profile_values,
     default_scenario,
+    read_day_profile,
 )
 
 # Scenario fields read from and echoed to the "event" section; the other
@@ -68,8 +68,6 @@ def canonical_json(obj) -> str:
 
 def _section(cfg: dict, name: str) -> dict:
     value = cfg.get(name, {})
-    if value is None:
-        return {}
     if not isinstance(value, dict):
         raise ValueError(f"section {name!r} must be an object")
     return value
@@ -96,7 +94,7 @@ def _coerce(tp, value, where: str):
         if not isinstance(value, list):
             raise ValueError(f"{where} must be a list, got {shown(value)}")
         (item,) = get_args(tp)
-        return [_coerce(item, v, f"{where}[{i}]") for i, v in enumerate(value)]
+        return [_coerce(item, v, f"{where}[{i}]") for i, v in enumerate(value, start=1)]
     # An enum: ChargingStrategy or ControlMode, by its value in any case.
     try:
         return tp(str(value).strip().lower())
@@ -174,9 +172,7 @@ def day_profile_to_value(day: DayProfile) -> list[dict]:
 
 
 def day_profile_from_value(value) -> DayProfile:
-    return DayProfile(
-        read_table(value, DAY_PROFILE_COLUMNS, day_profile_row, "day_profile")
-    )
+    return read_day_profile(value)
 
 
 KNOWN_SECTIONS = {

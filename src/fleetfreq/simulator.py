@@ -732,7 +732,19 @@ def day_profile_values(row: DayProfileRow) -> list[float]:
     return [row.clock_min, *(by_name[s.name] for s in CALIFORNIA_LOW_INERTIA_MIX.sources)]
 
 
+def read_day_profile(value) -> DayProfile:
+    """A day profile from a CSV path or a JSON list of rows, as read_table
+    reads them. DayProfile's errors (the row count, a clock) name the table
+    as its cell errors do: `day_profile: <file>: ` or `day_profile: `."""
+    rows = read_table(value, DAY_PROFILE_COLUMNS, day_profile_row, "day_profile")
+    where = "day_profile" if isinstance(value, list) else f"day_profile: {Path(value)}"
+    try:
+        return DayProfile(rows)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
 def bundled_day_profile() -> DayProfile:
     """The packaged synthetic California day profile."""
     path = Path(resources.files("fleetfreq").joinpath("data", BUNDLED_DAY_PROFILE))
-    return DayProfile(read_table(path, DAY_PROFILE_COLUMNS, day_profile_row, "day_profile"))
+    return read_day_profile(path)

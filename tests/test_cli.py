@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import fleetfreq
-from fleetfreq.cli import FLAGS, main
+from fleetfreq.cli import FLAGS, main, write_atomic
 from fleetfreq.config import day_profile_from_value, day_profile_to_value
 from fleetfreq.controller import ControlMode
 from fleetfreq.grid import CALIFORNIA_LOW_INERTIA_MIX, grid_from_preset
@@ -269,6 +270,46 @@ def test_a_json_literal_is_named_as_json(tmp_path, capsys, command, config, mess
     out = tmp_path / "out.csv"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+# List items count from 1, as table rows and CSV data rows do.
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("sweep", {"sweep": {"levels": [0.5, None]}}, "sweep.levels[2] must be a finite number"),
+        (
+            "simulate",
+            {
+                "mix": [
+                    {"source": "gas", "h_seconds": 4.9, "power_mw": 8000.0},
+                    {"source": "wind", "h_seconds": 0.0},
+                ]
+            },
+            "mix[2].power_mw must be a finite number",
+        ),
+    ],
+)
+def test_the_second_item_is_named_2(tmp_path, capsys, command, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+# A null section is not an object, so it is rejected as any other non-object
+# section is; only the mix, a table, may be null.
+@pytest.mark.parametrize(
+    "command, section", [("simulate", "fleet"), ("simulate", "event"), ("sweep", "sweep")]
+)
+def test_a_null_section_exit_2_naming_it(tmp_path, capsys, command, section):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: None}), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"config error: section '{section}' must be an object" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -727,6 +768,40 @@ def test_daily_wrong_row_count_rejected(tmp_path, capsys):
     assert "96" in capsys.readouterr().err
 
 
+# DayProfile's own checks (the row count, each clock) name the table as its
+# cell errors do: by its file for a CSV, as day_profile for JSON rows.
+@pytest.mark.parametrize("form", ["csv", "json"])
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("short", "day profile needs exactly 96 rows, got 43"),
+        ("duplicate", "day profile row 10: duplicate clock_min 120 (first at row 9)"),
+        ("off-grid", "day profile row 4: expected clock_min 45, got 46"),
+    ],
+)
+def test_a_day_profile_shape_error_names_the_table(tmp_path, capsys, form, fault, message):
+    rows = day_profile_to_value(bundled_day_profile())
+    if fault == "short":
+        rows = rows[:43]
+    elif fault == "duplicate":
+        rows[9]["clock_min"] = rows[8]["clock_min"]
+    else:
+        rows[3]["clock_min"] = 46.0
+    if form == "csv":
+        day = tmp_path / "day.csv"
+        lines = [",".join(rows[0]), *(",".join(map(repr, row.values())) for row in rows)]
+        day.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        given, where = ["--day-profile", str(day)], f"day_profile: {day}: "
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"daily": {"day_profile": rows}}), encoding="utf-8")
+        given, where = ["--config", str(cfg)], "day_profile: "
+    out = tmp_path / "daily.csv"
+    assert main(daily_args(out, given)) == 2
+    assert f"config error: {where}{message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_daily_roundtrip_from_header(tmp_path):
     out1 = tmp_path / "a.csv"
     assert main(daily_args(out1)) == 0
@@ -878,3 +953,67 @@ def test_grid_run_loads_numpy_without_a_blas_worker(tmp_path):
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "1"
+
+
+# ---------------------------------------------------------------------------
+# writing
+
+
+def test_a_failure_while_making_lines_leaves_no_file(tmp_path):
+    def lines():
+        yield "1\n"
+        yield "2\n"
+        raise ValueError("bad row")
+
+    out = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="bad row"):
+        write_atomic(out, "# header\n", lines())
+    assert list(tmp_path.iterdir()) == []
+
+    out.write_text("kept\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="bad row"):
+        write_atomic(out, "# header\n", lines())
+    assert list(tmp_path.iterdir()) == [out]
+    assert out.read_text(encoding="utf-8") == "kept\n"
+
+
+def _traced_peak(argv) -> int:
+    """Traced bytes main(argv) allocates at its peak, above what it started with."""
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    assert main(argv) == 0
+    return tracemalloc.get_traced_memory()[1] - before
+
+
+def test_simulate_memory_per_sample_is_the_trajectory(tmp_path):
+    # Lines are made one at a time as they are written, so a sample costs
+    # its five array('d') entries (40 B) and no row string: a list of the
+    # rows would add about 100 B a sample.
+    def run(step):
+        return _traced_peak(["simulate", "--step", step, "--out", str(tmp_path / "traj.csv")])
+
+    tracemalloc.start()
+    try:
+        run("0.01")  # warm-up: imports and first-use caches
+        extra = run("0.0005") - run("0.001")
+    finally:
+        tracemalloc.stop()
+    assert extra < 48 * 60_000, extra / 60_000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--step", "0.05", "--horizon", "10"],
+        ["sweep", "--step", "0.05", "--horizon", "10"],
+        ["daily", "--levels", "100", "--modes", "v1g", "--step", "0.05", "--horizon", "10"],
+        ["profile", "--step-min", "5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_the_closing_message_counts_the_data_lines(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    what = "cells" if argv[0] in ("sweep", "daily") else "samples"
+    assert capsys.readouterr().err == f"wrote {out} ({len(rows)} {what})\n"

@@ -40,7 +40,7 @@ REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "referen
         ('{"metrics": {"rocof_window_s": -0.5}}', "metrics: rocof_window_s"),
         ('{"sweep": {"levels": "0.2"}}', "sweep.levels"),
         ('{"sweep": {"modes": "v1g"}}', "sweep.modes"),
-        ('{"sweep": {"strategies": ["immediate", "overnight"]}}', "sweep.strategies[1]"),
+        ('{"sweep": {"strategies": ["immediate", "overnight"]}}', "sweep.strategies[2]"),
         ('{"mix": [{"h_seconds": 5, "power_mw": 1}]}', "mix[1].source"),
         ('{"mix": [{"source": 7, "h_seconds": 5, "power_mw": 1}]}', "mix[1].source"),
         ('{"fleet": {"n_vehicles": 5}, "fleet": {"strategy": "delayed"}}', "key 'fleet'"),
