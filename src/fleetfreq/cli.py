@@ -269,7 +269,7 @@ def _write_grid(
     shared = [sid for sid, n in Counter(ids).items() if n > 1]
     if shared:
         raise ValueError(
-            f"grid cells share scenario_id {shared[0]!r}: levels must differ by "
+            f"{command}: grid cells share scenario_id {shared[0]!r}: levels must differ by "
             "a whole percent and modes and strategies must not repeat"
         )
     try:

@@ -160,11 +160,7 @@ def mix_to_value(mix: GenerationMix | None):
 def mix_from_value(value) -> GenerationMix | None:
     if value is None:
         return None
-    sources = read_table(value, MIX_COLUMNS, GenerationSource, "mix")
-    try:
-        return inertial_mix(sources)
-    except ValueError as exc:
-        raise ValueError(f"mix: {exc}") from None
+    return read_table(value, MIX_COLUMNS, GenerationSource, inertial_mix, "mix")
 
 
 def day_profile_to_value(day: DayProfile) -> list[dict]:
@@ -200,7 +196,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 def load_config_file(path: str | Path) -> dict:
     try:
-        with Path(path).open(encoding="utf-8") as fh:
+        with Path(path).open(encoding="utf-8-sig") as fh:
             cfg = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ValueError(f"cannot read config {path}: {exc}") from exc

@@ -121,10 +121,17 @@ def _from_text(kind: type, text: str):
 def _csv_rows(path: Path, columns: dict[str, type], where: str) -> list:
     """(location, separator, cells by column) of each data row of a CSV table."""
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            rows = [
+                r
+                for r in csv.reader(fh)
+                if any(map(str.strip, r)) and not r[0].lstrip().startswith("#")
+            ]
     except OSError as exc:
         raise ValueError(f"{where}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # exc.start counts from a chunk, not the file
+        bad = exc.object[exc.start]
+        raise ValueError(f"{where}: {path}: not UTF-8 text (byte 0x{bad:02x})") from exc
     if not rows:
         raise ValueError(f"{where}: {path}: empty file")
     header, got = list(columns), [c.strip() for c in rows[0]]
@@ -142,19 +149,22 @@ def _csv_rows(path: Path, columns: dict[str, type], where: str) -> list:
     return located
 
 
-def read_table(value, columns: dict[str, type], make, where: str) -> list:
-    """The rows of a table, each built by make(*cells) in column order.
+def read_table(value, columns: dict[str, type], make_row, make_table, where: str):
+    """A table, make_table(rows), of rows each built by make_row(*cells).
 
     value is a CSV path or a JSON list of objects keyed by column name. In a
-    CSV, blank lines and lines starting with '#' are ignored, the first other
-    line must be the header and every data row must be as wide. In both
-    forms every cell passes _cell, a missing JSON key as None. Errors name
-    the row (`<where>: <file>: data row i` or `<where>[i]`) and the column;
-    a ValueError from make gets the row as a prefix.
+    CSV, blank lines, lines of blank cells and lines starting with '#' are
+    ignored, the first other line must be the header and every data row must
+    be as wide. In both forms every cell passes _cell, a missing JSON key as
+    None. Errors name the row (`<where>: <file>: data row i` or `<where>[i]`)
+    and the column; a ValueError from make_row gets the row as a prefix, and
+    one from make_table the table (`<where>: <file>` or `<where>`).
     """
     if isinstance(value, list):
+        named = where
         rows = [(f"{where}[{i}]", ".", row) for i, row in enumerate(value, start=1)]
     elif isinstance(value, (str, Path)):
+        named = f"{where}: {Path(value)}"
         rows = _csv_rows(Path(value), columns, where)
     else:
         raise ValueError(f"{where} must be a CSV path or a list of rows")
@@ -169,10 +179,13 @@ def read_table(value, columns: dict[str, type], make, where: str) -> list:
             _cell(kind, row.get(name), f"{at}{sep}{name}") for name, kind in columns.items()
         ]
         try:
-            table.append(make(*cells))
+            table.append(make_row(*cells))
         except ValueError as exc:
             raise ValueError(f"{at}: {exc}") from exc
-    return table
+    try:
+        return make_table(table)
+    except ValueError as exc:
+        raise ValueError(f"{named}: {exc}") from exc
 
 
 # The columns of a generation mix table, one row per source.

@@ -644,8 +644,8 @@ def scenario_grid(
     """The scenario grid of a participation sweep or a daily scan.
 
     Cells are ordered clock-major, then by strategy, mode and level. Without a
-    day profile there is one clock, the base clock and grid; with one, each
-    profile row sets the clock (and so the fleet state) and, from its mix, the
+    day profile the one row is base; with one, each profile row is base with
+    the row's clock (and so fleet state) and mix, from which it derives its
     grid. strategies=None keeps the base fleet's. A row's grid, a strategy's
     fleet and a (mode, level) controller are each built once and shared by
     their cells, which carry no mix. Each cell's key is in its own scenario:
@@ -655,9 +655,9 @@ def scenario_grid(
         strategies = [base.fleet.strategy]
     axes = ScenarioAxes(levels, modes, strategies)
     if day is None:
-        rows = [(base.clock_min, base.grid)]
+        rows = [base]
     else:
-        rows = [(row.clock_min, grid_from_mix(row.mix, base.grid)) for row in day.rows]
+        rows = [replace(base, clock_min=row.clock_min, mix=row.mix) for row in day.rows]
     fleets = [replace(base.fleet, strategy=strategy) for strategy in axes.strategies]
     controllers = [
         replace(base.controller, mode=mode, participation=level)
@@ -665,8 +665,8 @@ def scenario_grid(
         for level in axes.levels
     ]
     return [
-        replace(base, grid=grid, mix=None, clock_min=clock, fleet=fleet, controller=controller)
-        for clock, grid in rows
+        replace(row, mix=None, fleet=fleet, controller=controller)
+        for row in rows
         for fleet in fleets
         for controller in controllers
     ]
@@ -734,14 +734,9 @@ def day_profile_values(row: DayProfileRow) -> list[float]:
 
 def read_day_profile(value) -> DayProfile:
     """A day profile from a CSV path or a JSON list of rows, as read_table
-    reads them. DayProfile's errors (the row count, a clock) name the table
-    as its cell errors do: `day_profile: <file>: ` or `day_profile: `."""
-    rows = read_table(value, DAY_PROFILE_COLUMNS, day_profile_row, "day_profile")
-    where = "day_profile" if isinstance(value, list) else f"day_profile: {Path(value)}"
-    try:
-        return DayProfile(rows)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from exc
+    reads them: DayProfile's errors (the row count, a clock) name the table
+    as `day_profile: <file>: ` or `day_profile: `."""
+    return read_table(value, DAY_PROFILE_COLUMNS, day_profile_row, DayProfile, "day_profile")
 
 
 def bundled_day_profile() -> DayProfile:

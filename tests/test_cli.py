@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,12 @@ from fleetfreq.cli import FLAGS, main, write_atomic
 from fleetfreq.config import day_profile_from_value, day_profile_to_value
 from fleetfreq.controller import ControlMode
 from fleetfreq.grid import CALIFORNIA_LOW_INERTIA_MIX, grid_from_preset
-from fleetfreq.simulator import bundled_day_profile, default_scenario, simulate
+from fleetfreq.simulator import (
+    BUNDLED_DAY_PROFILE,
+    bundled_day_profile,
+    default_scenario,
+    simulate,
+)
 
 from day_profiles import day_profile_csv_text, synthetic_california_day
 
@@ -186,6 +192,7 @@ def test_a_mix_that_cannot_set_the_grid_is_named_as_the_mix(tmp_path, capsys, fo
         mix = tmp_path / "mix.csv"
         mix.write_text(f"source,h_seconds,power_mw\n{row}\n", encoding="utf-8")
         given = ["--mix", str(mix)]
+        message = message.replace("mix: ", f"mix: {mix}: ", 1)  # a CSV is named by its file
     else:
         source, h_seconds, power_mw = row.split(",")
         value = [{"source": source, "h_seconds": float(h_seconds), "power_mw": float(power_mw)}]
@@ -198,6 +205,51 @@ def test_a_mix_that_cannot_set_the_grid_is_named_as_the_mix(tmp_path, capsys, fo
     assert f"config error: {message}" in err
     assert "h_eff_s" not in err and "s_base_mw" not in err
     assert not out.exists()
+
+
+# Spreadsheets save CSV with a byte-order mark and CRLF line ends, and may
+# leave lines of blank cells; the table read from them is the plain file's.
+@pytest.mark.parametrize(
+    "saved",
+    [
+        "\ufeffsource,h_seconds,power_mw\r\ngas,4.9,8000\r\nwind,0,2000\r\n",
+        "source,h_seconds,power_mw\ngas,4.9,8000\n   \nwind,0,2000\n",
+        "source,h_seconds,power_mw\ngas,4.9,8000\n,,\nwind,0,2000\n",
+    ],
+    ids=["bom-crlf", "spaces-line", "commas-line"],
+)
+def test_a_spreadsheet_mix_csv_runs_as_the_plain_one(tmp_path, saved):
+    plain = "source,h_seconds,power_mw\ngas,4.9,8000\nwind,0,2000\n"
+    outs = []
+    for name, text in [("plain", plain), ("saved", saved)]:
+        mix = tmp_path / f"{name}.csv"
+        mix.write_bytes(text.encode("utf-8"))
+        out = tmp_path / f"{name}-traj.csv"
+        args = ["simulate", "--mix", str(mix), "--step", "0.05", "--horizon", "10"]
+        assert main([*args, "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_a_mix_csv_that_is_not_utf8_is_named_by_its_file(tmp_path, capsys):
+    mix = tmp_path / "mix.csv"
+    mix.write_bytes("# café\nsource,h_seconds,power_mw\ngas,4.9,8000\n".encode("latin-1"))
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--mix", str(mix), "--out", str(out)]) == 2
+    assert f"config error: mix: {mix}: not UTF-8 text" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_config_saved_with_a_byte_order_mark_runs(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes("\ufeff".encode("utf-8") + REFERENCE_CONFIG.read_bytes())
+    outs = []
+    for name, path in [("plain", REFERENCE_CONFIG), ("bom", cfg)]:
+        out = tmp_path / f"{name}.csv"
+        args = ["simulate", "--config", str(path), "--step", "0.05", "--horizon", "10"]
+        assert main([*args, "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_simulate_roundtrip_from_header(tmp_path):
@@ -579,7 +631,20 @@ def test_grid_levels_sharing_a_scenario_id_rejected(tmp_path, capsys, command):
     out = tmp_path / "grid.csv"
     code = main([command, "--out", str(out), "--levels", "20,20.4", "--modes", "v1g"])
     assert code == 2
-    assert "p020" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "p020" in err
+    assert f"config error: {command}: " in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "daily"])
+def test_a_repeated_grid_mode_is_named_by_its_section(tmp_path, capsys, command):
+    out = tmp_path / "grid.csv"
+    code = main([command, "--out", str(out), "--levels", "20", "--modes", "v1g,V1G"])
+    assert code == 2
+    assert f"config error: {command}: grid cells share scenario_id 'immediate-v1g-p020" in (
+        capsys.readouterr().err
+    )
     assert not out.exists()
 
 
@@ -740,6 +805,17 @@ def test_daily_profile_csv_equals_its_json_echo(tmp_path):
     assert main(daily_args(out)) == 0
     echoed = read_config(out)["daily"]["day_profile"]
     assert day_profile_from_value(echoed) == bundled_day_profile()
+
+
+def test_a_day_profile_saved_by_a_spreadsheet_runs_as_the_bundled_one(tmp_path):
+    bundled = tmp_path / "bundled.csv"
+    assert main(daily_args(bundled)) == 0
+    text = resources.files("fleetfreq").joinpath("data", BUNDLED_DAY_PROFILE).read_bytes()
+    day = tmp_path / "day.csv"
+    day.write_bytes(b"\xef\xbb\xbf" + text.replace(b"\n", b"\r\n"))
+    out = tmp_path / "daily.csv"
+    assert main(daily_args(out, ["--day-profile", str(day)])) == 0
+    assert out.read_bytes() == bundled.read_bytes()  # the header echoes the rows as JSON
 
 
 def test_daily_json_duplicate_clock_rejected(tmp_path, capsys):
