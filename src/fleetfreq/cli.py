@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 import tempfile
 from collections import Counter
@@ -32,7 +33,7 @@ from .config import (
     _section,
 )
 from .fleet import FleetConfig, InfeasibleChargingWindow, ProfileSettings, charging_profile
-from .grid import INERTIA_PRESETS, grid_from_preset
+from .grid import INERTIA_PRESETS, grid_from_preset, whole_steps
 from .metrics import FrequencyMetrics, MetricsConfig
 from .simulator import (
     IntegrationError,
@@ -40,8 +41,8 @@ from .simulator import (
     ScenarioAxes,
     bundled_day_profile,
     evaluate_scenarios,
+    samples,
     scenario_grid,
-    simulate,
 )
 
 TRAJECTORY_COLUMNS = "t_s,f_hz,p_mech_pu,p_ev_pu,mean_soc"
@@ -220,11 +221,9 @@ def cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
     scenario = scenario_from_config(cfg)
     metrics_from_config(cfg)  # checked, though a trajectory has no metrics
-    traj = simulate(scenario)
-    arrays = (traj.times_s, traj.frequency_hz, traj.p_mech_pu, traj.p_ev_pu, traj.mean_soc)
-    lines = ("%.6f,%.6f,%.6f,%.6f,%.6f\n" % row for row in zip(*arrays))
+    lines = ("%.6f,%.6f,%.6f,%.6f,%.6f\n" % row for row in samples(scenario))
     echo = scenario_to_config(scenario)
-    what = f"{len(traj.times_s)} samples"
+    what = f"{whole_steps(scenario.horizon_s, scenario.step_s) + 1} samples"
     return _write(args, "simulate", echo, TRAJECTORY_COLUMNS, lines, what)
 
 
@@ -400,7 +399,15 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def _terminate(signum, frame) -> None:
+    raise SystemExit(128 + signum)
+
+
 def entry() -> None:
+    # SIGTERM unwinds as SystemExit (exit 143), so that write_atomic removes
+    # its temp file. Set here, not in main, so that a caller of main keeps
+    # its own handlers.
+    signal.signal(signal.SIGTERM, _terminate)
     sys.exit(main())
 
 

@@ -23,6 +23,7 @@ from .grid import (
     GenerationSource,
     finite_number,
     inertial_mix,
+    not_utf8,
     read_table,
     shown,
 )
@@ -200,9 +201,11 @@ def load_config_file(path: str | Path) -> dict:
             cfg = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ValueError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"config {not_utf8(path, exc)}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
-    except ValueError as exc:  # a repeated key, or text that is not UTF-8
+    except ValueError as exc:  # a repeated key
         raise ValueError(f"config {path} {exc}") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"config {path} must be a JSON object")

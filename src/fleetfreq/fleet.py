@@ -221,7 +221,7 @@ class ProfileSettings:
     def __post_init__(self) -> None:
         if self.step_min <= 0.0:
             raise ValueError("step_min must be > 0")
-        whole_steps(MINUTES_PER_DAY, self.step_min, "step_min must divide 24 h")
+        whole_steps(MINUTES_PER_DAY, self.step_min, ("24 h", "step_min"))
 
 
 def charging_profile(

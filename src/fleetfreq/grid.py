@@ -89,14 +89,38 @@ def finite_number(value, where: str) -> float:
     return float(value) + 0.0
 
 
-def whole_steps(span: float, step: float, error: str = "step must divide span") -> int:
-    """The number of steps of size step in span; ValueError(error) unless
-    span / step is finite and within 1e-9 of a whole number >= 1."""
+# The most steps one run may take. A trajectory of 10,000,001 samples is
+# about 470 MB of CSV (47 B a row) and half a minute of stepping and writing
+# (3.1 s per million samples on a 2-core host); a larger run is more likely
+# a typo than a wish, and as its rows stream to the file it would fill the
+# disk before the memory.
+MAX_STEPS = 10_000_000
+
+
+def whole_steps(span: float, step: float, names: tuple[str, str] = ("span", "step")) -> int:
+    """The number of steps of size step in span, at most MAX_STEPS.
+
+    ValueError unless span / step is finite and within 1e-9 of a whole
+    number >= 1, and unless that number is at most MAX_STEPS; the message
+    calls span and step by names.
+    """
+    span_name, step_name = names
     n = span / step
     count = round(n) if math.isfinite(n) else 0
     if count < 1 or abs(n - count) > 1e-9:
-        raise ValueError(error)
+        raise ValueError(f"{step_name} must divide {span_name}")
+    if count > MAX_STEPS:
+        raise ValueError(
+            f"{span_name} / {step_name} is {count:,} steps; a run may take at most {MAX_STEPS:,}"
+        )
     return count
+
+
+def not_utf8(path, exc: UnicodeDecodeError) -> str:
+    """How an input file that is not UTF-8 is named: by its path and the
+    first byte that does not decode. exc.start counts from a chunk of the
+    read, not from the file, so no position is given."""
+    return f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})"
 
 
 def _cell(kind: type, value, where: str):
@@ -129,9 +153,8 @@ def _csv_rows(path: Path, columns: dict[str, type], where: str) -> list:
             ]
     except OSError as exc:
         raise ValueError(f"{where}: {exc}") from exc
-    except UnicodeDecodeError as exc:  # exc.start counts from a chunk, not the file
-        bad = exc.object[exc.start]
-        raise ValueError(f"{where}: {path}: not UTF-8 text (byte 0x{bad:02x})") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{where}: {not_utf8(path, exc)}") from exc
     if not rows:
         raise ValueError(f"{where}: {path}: empty file")
     header, got = list(columns), [c.strip() for c in rows[0]]

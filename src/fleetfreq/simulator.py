@@ -19,9 +19,10 @@ the tail and keeps each block's range, and one replay, to the last block a
 metric needs, finds the nadir's sample, the overshoot and the settling
 time.
 
-simulate is pure Python and returns its series as array('d') buffers. numpy
-is imported inside the functions that step a grid or score it, so a single
-trajectory runs without loading it.
+A single trajectory is stepped in pure Python by the generator samples,
+which the CLI writes as it goes and simulate collects into array('d')
+buffers. numpy is imported inside the functions that step a grid or score
+it, so a single trajectory runs without loading it.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ class Scenario:
             raise ValueError("step_s must be > 0")
         if self.horizon_s < 10.0 * self.step_s:
             raise ValueError("horizon_s must cover at least 10 steps")
-        whole_steps(self.horizon_s, self.step_s, "step_s must divide horizon_s")
+        whole_steps(self.horizon_s, self.step_s, ("horizon_s", "step_s"))
         if self.disturbance_mw < 0.0:
             raise ValueError("disturbance_mw must be >= 0")
         if not 0.0 <= self.event_time_s < self.horizon_s:
@@ -237,13 +238,14 @@ def _affine_map(c: _Cell, dt):
     return columns, offsets
 
 
-def simulate(scenario: Scenario) -> Trajectory:
-    """Integrate one scenario and return the sampled trajectory.
+def samples(scenario: Scenario):
+    """Integrate one scenario, yielding each sample as it is stepped.
 
-    Deterministic: identical scenarios produce bit-identical trajectories.
-    Fleet availability (plugged count and window charging power) is frozen at
-    the scenario clock for the duration of the horizon; the mean SoC evolves
-    with the realized command.
+    A generator of (t, f, p_mech_pu, p_ev_pu, mean_soc) tuples, one per
+    sample from t = 0 to the horizon. Fleet availability (plugged count and
+    window charging power) is frozen at the scenario clock for the duration
+    of the horizon; the mean SoC evolves with the realized command. A
+    non-finite state raises IntegrationError in place of its sample.
     """
     c = _cell(scenario)
     dt = scenario.step_s
@@ -255,28 +257,17 @@ def simulate(scenario: Scenario) -> Trajectory:
     (p00, p10, p20, p30), (p01, p11, p21, p31) = columns[:2]
     (p02, p12, p22, p32), (p03, p13, p23, p33) = columns[2:]
 
-    series = [array("d") for _ in range(5)]
-    put_t, put_f, put_pm, put_pev, put_soc = (buf.append for buf in series)
-
     df = pg = pm = pev = 0.0
-    soc = c.soc0
-    triggered = False
-    latch_time = None
+    soc, triggered = c.soc0, False
     isfinite = math.isfinite
 
     for k in range(n_steps + 1):
         t = k * dt
         f = f0 * (1.0 + df)
         triggered = latched(f, threshold_hz, triggered, latch_on)
-        if triggered and latch_time is None:
-            latch_time = t
-        put_t(t)
-        put_f(f)
-        put_pm(pm)
-        put_pev(pev)
-        put_soc(soc)
+        yield t, f, pm, pev, soc
         if k == n_steps:
-            break
+            return
 
         gate = 2 * triggered + (soc > reserve)
         o0, o1, o2, o3 = offsets[t >= event_time][gate]
@@ -293,7 +284,26 @@ def simulate(scenario: Scenario) -> Trajectory:
         if not (isfinite(df) and isfinite(pg) and isfinite(pm) and isfinite(pev)):
             raise IntegrationError(k + 1, t + dt)
 
-    return Trajectory(*series, latch_time_s=latch_time, event_time_s=event_time)
+
+def simulate(scenario: Scenario) -> Trajectory:
+    """The sampled trajectory of one scenario: samples(scenario), collected
+    into array('d') series.
+
+    Deterministic: identical scenarios produce bit-identical trajectories.
+    The latch is off before sample 0, so it first switches on at the first
+    sample whose frequency alone sets it.
+    """
+    series = [array("d") for _ in range(5)]
+    put_t, put_f, put_pm, put_pev, put_soc = (buf.append for buf in series)
+    for t, f, pm, pev, soc in samples(scenario):
+        put_t(t)
+        put_f(f)
+        put_pm(pm)
+        put_pev(pev)
+        put_soc(soc)
+    c = scenario.controller
+    on = (t for t, f in zip(*series[:2]) if latched(f, c.threshold_hz, False, c.latch_on))
+    return Trajectory(*series, latch_time_s=next(on, None), event_time_s=scenario.event_time_s)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +615,8 @@ def evaluate_scenarios(
         # smallest input index of all diverged cells.
         i = firsts[diverged.cell]
         try:
-            simulate(scenarios[i])
+            for _ in samples(scenarios[i]):
+                pass
         except IntegrationError as exc:
             raise IntegrationError(exc.step_index, exc.time_s, i) from None
         raise RuntimeError("grid kernel diverged where simulate did not")

@@ -3,8 +3,10 @@ across runs and worker counts, exit codes, and atomic output behavior."""
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from importlib import resources
@@ -240,6 +242,16 @@ def test_a_mix_csv_that_is_not_utf8_is_named_by_its_file(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_config_that_is_not_utf8_is_named_by_its_file(tmp_path, capsys):
+    cfg = tmp_path / "lat.json"
+    cfg.write_bytes('{"mix": "café.csv"}'.encode("latin-1"))
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"fleetfreq: config error: config {cfg}: not UTF-8 text (byte 0xe9)\n"
+    assert not out.exists()
+
+
 def test_a_config_saved_with_a_byte_order_mark_runs(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_bytes("\ufeff".encode("utf-8") + REFERENCE_CONFIG.read_bytes())
@@ -401,20 +413,47 @@ sys.exit(fleetfreq.cli.main(sys.argv[1:]))
 """
 
 
-def run_python(*argv, drop=()):
-    """A fresh interpreter run with argv, fleetfreq's source on its path and
-    the environment variables named in drop removed."""
+def python_env(drop=()) -> dict:
+    """This environment with fleetfreq's source on the path and the
+    variables named in drop removed."""
     path = [str(Path(fleetfreq.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     for name in drop:
         env.pop(name, None)
+    return env
+
+
+def run_python(*argv, drop=(), timeout=120):
+    """A fresh interpreter run with argv in python_env(drop)."""
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *argv], capture_output=True, text=True, env=python_env(drop),
+        timeout=timeout,
     )
 
 
 def run_without_numpy(*argv):
     return run_python("-c", WITHOUT_NUMPY, *argv)
+
+
+# More steps than a run may take exit 2, naming the keys and the cap, before
+# any step and with no output. In a fresh interpreter, so that a run without
+# the cap fails the test at the timeout rather than running on.
+@pytest.mark.parametrize(
+    "command, flag, value, keys",
+    [
+        *(
+            (command, "--horizon", "1e9", "event: horizon_s / step_s is 100,000,000,000 steps")
+            for command in ("simulate", "sweep", "daily")
+        ),
+        ("profile", "--step-min", "1e-9", "profile: 24 h / step_min is 1,440,000,000,000 steps"),
+    ],
+)
+def test_a_run_over_the_step_cap_exit_2(tmp_path, command, flag, value, keys):
+    out = tmp_path / "out.csv"
+    run = run_python("-m", "fleetfreq.cli", command, flag, value, "--out", str(out), timeout=30)
+    assert run.returncode == 2, run.stderr
+    assert f"{keys}; a run may take at most 10,000,000" in run.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 NUMPY_FREE = {
@@ -465,7 +504,8 @@ def test_simulate_divergence_exit_4(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 4
     assert "non-finite state" in capsys.readouterr().err
-    assert not out.exists()
+    # The rows before the divergence went to a temp file, which is gone.
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_simulate_clock_accepts_plain_minutes(tmp_path):
@@ -1061,10 +1101,10 @@ def _traced_peak(argv) -> int:
     return tracemalloc.get_traced_memory()[1] - before
 
 
-def test_simulate_memory_per_sample_is_the_trajectory(tmp_path):
-    # Lines are made one at a time as they are written, so a sample costs
-    # its five array('d') entries (40 B) and no row string: a list of the
-    # rows would add about 100 B a sample.
+def test_simulate_memory_does_not_grow_with_samples(tmp_path):
+    # Each sample is stepped, formatted and written before the next, so no
+    # trajectory exists: 60,000 more samples add less than 2 B each, where
+    # a trajectory's five array('d') entries would add 40 B.
     def run(step):
         return _traced_peak(["simulate", "--step", step, "--out", str(tmp_path / "traj.csv")])
 
@@ -1074,7 +1114,30 @@ def test_simulate_memory_per_sample_is_the_trajectory(tmp_path):
         extra = run("0.0005") - run("0.001")
     finally:
         tracemalloc.stop()
-    assert extra < 48 * 60_000, extra / 60_000
+    assert extra < 2 * 60_000, extra / 60_000
+
+
+def test_sigterm_during_a_streamed_simulate_leaves_no_file(tmp_path):
+    # A run of 10,000,001 samples, stopped once its temp file exists: the
+    # rows stream into that file while the run steps.
+    out = tmp_path / "big.csv"
+    argv = ["simulate", "--step", "0.0001", "--horizon", "1000", "--out", str(out)]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fleetfreq.cli", *argv], env=python_env(), stderr=subprocess.PIPE
+    )
+    try:
+        deadline = time.monotonic() + 60.0
+        while not list(tmp_path.glob(".big.csv.*.tmp")):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+        assert b"Traceback" not in proc.stderr.read()
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -87,6 +87,22 @@ def test_latch_consistency_validated():
             assert traj.latch_time_s == traj.times_s[np.argmax(below)], name
 
 
+@pytest.mark.parametrize("latch_on", [True, False])
+@pytest.mark.parametrize("disturbance_mw", [0.0, 1800.0], ids=["never", "triggers"])
+def test_latch_time_is_where_the_iterated_latch_first_holds(latch_on, disturbance_mw):
+    # simulate finds the latch time after the run; the latch iterated over
+    # the samples, as the step loop iterates it, switches on there first.
+    base = default_scenario(horizon_s=10.0, disturbance_mw=disturbance_mw)
+    traj = simulate(replace(base, controller=replace(base.controller, latch_on=latch_on)))
+    triggered, first = False, None
+    for t, f in zip(traj.times_s, traj.frequency_hz):
+        triggered = latched(f, THRESHOLD, triggered, latch_on)
+        if triggered and first is None:
+            first = t
+    assert traj.latch_time_s == first
+    assert (first is None) == (disturbance_mw == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # commanded power
 

@@ -13,6 +13,7 @@ from fleetfreq.grid import (
     GenerationSource,
     GridParameters,
     INERTIA_PRESETS,
+    MAX_STEPS,
     effective_inertia,
     grid_from_mix,
     grid_from_preset,
@@ -262,6 +263,17 @@ def test_whole_steps_counts_the_steps(span, step, count):
 def test_whole_steps_rejects_what_is_not_a_whole_count(span, step):
     with pytest.raises(ValueError, match="step must divide span"):
         whole_steps(span, step)
+
+
+def test_whole_steps_caps_a_run_and_names_its_span_and_step():
+    assert whole_steps(1000.0, 0.0001) == MAX_STEPS == 10_000_000
+    with pytest.raises(ValueError) as over:
+        whole_steps(1000.0001, 0.0001, ("horizon_s", "step_s"))
+    assert str(over.value) == (
+        "horizon_s / step_s is 10,000,001 steps; a run may take at most 10,000,000"
+    )
+    with pytest.raises(ValueError, match="^step_min must divide 24 h$"):
+        whole_steps(1440.0, 7.0, ("24 h", "step_min"))
 
 
 def test_grid_from_mix():

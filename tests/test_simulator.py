@@ -37,6 +37,7 @@ from fleetfreq.simulator import (
     bundled_day_profile,
     default_scenario,
     evaluate_scenarios,
+    samples,
     scenario_grid,
     simulate,
 )
@@ -325,6 +326,20 @@ def test_divergence_detected():
     scenario = default_scenario(step_s=1.0, horizon_s=600.0)
     with pytest.raises(IntegrationError, match="non-finite state"):
         simulate(scenario)
+
+
+def test_samples_are_the_trajectory_up_to_a_divergence():
+    scenario = default_scenario(horizon_s=10.0, controller=ControllerConfig(participation=1.0))
+    traj = simulate(scenario)
+    series = (traj.times_s, traj.frequency_hz, traj.p_mech_pu, traj.p_ev_pu, traj.mean_soc)
+    assert list(samples(scenario)) == list(zip(*series))
+    # A divergence at step k comes after the k samples before it.
+    got = []
+    with pytest.raises(IntegrationError) as exc:
+        for sample in samples(default_scenario(step_s=1.0, horizon_s=600.0)):
+            got.append(sample)
+    assert len(got) == exc.value.step_index
+    assert got[-1][0] + 1.0 == exc.value.time_s
 
 
 def test_infeasible_window_propagates():
