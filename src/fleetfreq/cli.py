@@ -41,7 +41,7 @@ from .simulator import (
     ScenarioAxes,
     bundled_day_profile,
     evaluate_scenarios,
-    samples,
+    sample_blocks,
     scenario_grid,
 )
 
@@ -221,7 +221,11 @@ def cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
     scenario = scenario_from_config(cfg)
     metrics_from_config(cfg)  # checked, though a trajectory has no metrics
-    lines = ("%.6f,%.6f,%.6f,%.6f,%.6f\n" % row for row in samples(scenario))
+    # One % formats a block: the row format once per sample in it.
+    lines = (
+        "%.6f,%.6f,%.6f,%.6f,%.6f\n" * (len(block) // 5) % tuple(block)
+        for block in sample_blocks(scenario)
+    )
     echo = scenario_to_config(scenario)
     what = f"{whole_steps(scenario.horizon_s, scenario.step_s) + 1} samples"
     return _write(args, "simulate", echo, TRAJECTORY_COLUMNS, lines, what)

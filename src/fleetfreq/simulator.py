@@ -19,15 +19,17 @@ the tail and keeps each block's range, and one replay, to the last block a
 metric needs, finds the nadir's sample, the overshoot and the settling
 time.
 
-A single trajectory is stepped in pure Python by the generator samples,
-which the CLI writes as it goes and simulate collects into array('d')
-buffers. numpy is imported inside the functions that step a grid or score
-it, so a single trajectory runs without loading it.
+A single trajectory is stepped in pure Python by the generator
+sample_blocks, a block of samples at a time, which the CLI formats and
+writes as they come and simulate collects into array('d') buffers. numpy
+is imported inside the functions that step a grid or score it, so a single
+trajectory runs without loading it.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from array import array
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -176,6 +178,11 @@ class _Cell(NamedTuple):
     soc_rates: tuple[float, float, float, float]
 
 
+# The bits of a _Cell's numbers, field by field, commands and soc_rates
+# spread: evaluate_scenarios' key for cells that are the same integration.
+_CELL_BITS = struct.Struct("<9d?10d")
+
+
 def _cell(scenario: Scenario) -> _Cell:
     grid = scenario.grid
     fleet = scenario.fleet
@@ -238,69 +245,93 @@ def _affine_map(c: _Cell, dt):
     return columns, offsets
 
 
-def samples(scenario: Scenario):
-    """Integrate one scenario, yielding each sample as it is stepped.
+# sample_blocks yields this many samples at a time. Each block costs one
+# generator resume, one string format and one write in the CLI, so short
+# blocks pay those per few samples; a block's list and its formatted text
+# are the memory a run holds. `fleetfreq simulate --step 0.001` (60,001
+# samples, V2G at full participation) took 109-115 ms in process from 64 to
+# 2,048 samples a block, within noise, and 120 ms at 16 (cli.main, best of
+# 9 on one CPU, Python 3.11).
+_BLOCK_SAMPLES = 256
 
-    A generator of (t, f, p_mech_pu, p_ev_pu, mean_soc) tuples, one per
-    sample from t = 0 to the horizon. Fleet availability (plugged count and
-    window charging power) is frozen at the scenario clock for the duration
-    of the horizon; the mean SoC evolves with the realized command. A
-    non-finite state raises IntegrationError in place of its sample.
+
+def sample_blocks(scenario: Scenario):
+    """Integrate one scenario, yielding its samples a block at a time.
+
+    A generator of flat lists t, f, p_mech_pu, p_ev_pu, mean_soc, t, ... of
+    up to _BLOCK_SAMPLES samples each, in order from t = 0 to the horizon;
+    only the last block may be shorter. Fleet availability (plugged count
+    and window charging power) is frozen at the scenario clock for the
+    duration of the horizon; the mean SoC evolves with the realized command.
+    A non-finite state ends the run: the samples before it are yielded, as
+    a shorter block, and then IntegrationError is raised.
     """
     c = _cell(scenario)
     dt = scenario.step_s
     n_steps = whole_steps(scenario.horizon_s, dt)
     event_time = scenario.event_time_s
-    f0, reserve, soc_rates = c.f0, c.soc_reserve, c.soc_rates
+    f0, reserve = c.f0, c.soc_reserve
     threshold_hz, latch_on = c.threshold_hz, c.latch_on
+    # The SoC step under each gate's held command, rate * dt.
+    soc_steps = [rate * dt for rate in c.soc_rates]
     columns, offsets = _affine_map(c, dt)
     (p00, p10, p20, p30), (p01, p11, p21, p31) = columns[:2]
     (p02, p12, p22, p32), (p03, p13, p23, p33) = columns[2:]
 
     df = pg = pm = pev = 0.0
     soc, triggered = c.soc0, False
-    isfinite = math.isfinite
+    isfinite, latch = math.isfinite, latched
 
-    for k in range(n_steps + 1):
-        t = k * dt
-        f = f0 * (1.0 + df)
-        triggered = latched(f, threshold_hz, triggered, latch_on)
-        yield t, f, pm, pev, soc
-        if k == n_steps:
-            return
+    # Sample k is put in its block and then stepped from, except the last
+    # sample, which the block holding it puts after its loop.
+    for k0 in range(0, n_steps + 1, _BLOCK_SAMPLES):
+        block = []
+        put = block.extend
+        for k in range(k0, min(k0 + _BLOCK_SAMPLES, n_steps)):
+            t = k * dt
+            f = f0 * (1.0 + df)
+            triggered = latch(f, threshold_hz, triggered, latch_on)
+            put((t, f, pm, pev, soc))
 
-        gate = 2 * triggered + (soc > reserve)
-        o0, o1, o2, o3 = offsets[t >= event_time][gate]
-        df, pg, pm, pev = (
-            p00 * df + p01 * pg + p02 * pm + p03 * pev + o0,
-            p10 * df + p11 * pg + p12 * pm + p13 * pev + o1,
-            p20 * df + p21 * pg + p22 * pm + p23 * pev + o2,
-            p30 * df + p31 * pg + p32 * pm + p33 * pev + o3,
-        )
-        # Command and SoC rate are held over the step, so the SoC update is
-        # exact linear integration; the clip stops charging at full and
-        # discharging at empty.
-        soc = min(1.0, max(0.0, soc + soc_rates[gate] * dt))
-        if not (isfinite(df) and isfinite(pg) and isfinite(pm) and isfinite(pev)):
-            raise IntegrationError(k + 1, t + dt)
+            gate = 2 * triggered + (soc > reserve)
+            o0, o1, o2, o3 = offsets[t >= event_time][gate]
+            df, pg, pm, pev = (
+                p00 * df + p01 * pg + p02 * pm + p03 * pev + o0,
+                p10 * df + p11 * pg + p12 * pm + p13 * pev + o1,
+                p20 * df + p21 * pg + p22 * pm + p23 * pev + o2,
+                p30 * df + p31 * pg + p32 * pm + p33 * pev + o3,
+            )
+            # Command and SoC rate are held over the step, so the SoC update
+            # is exact linear integration; the clip, min(1, max(0, soc)) in
+            # two comparisons, stops charging at full and discharging at
+            # empty.
+            soc += soc_steps[gate]
+            soc = soc if soc > 0.0 else 0.0
+            soc = soc if soc < 1.0 else 1.0
+            # A non-finite state makes the sum non-finite; a sum that
+            # overflows from finite states is told apart by the four tests.
+            if not isfinite(df + pg + pm + pev) and not (
+                isfinite(df) and isfinite(pg) and isfinite(pm) and isfinite(pev)
+            ):
+                yield block
+                raise IntegrationError(k + 1, t + dt)
+        if k0 + _BLOCK_SAMPLES > n_steps:
+            put((n_steps * dt, f0 * (1.0 + df), pm, pev, soc))
+        yield block
 
 
 def simulate(scenario: Scenario) -> Trajectory:
-    """The sampled trajectory of one scenario: samples(scenario), collected
-    into array('d') series.
+    """The sampled trajectory of one scenario: sample_blocks(scenario),
+    collected into array('d') series.
 
     Deterministic: identical scenarios produce bit-identical trajectories.
     The latch is off before sample 0, so it first switches on at the first
     sample whose frequency alone sets it.
     """
     series = [array("d") for _ in range(5)]
-    put_t, put_f, put_pm, put_pev, put_soc = (buf.append for buf in series)
-    for t, f, pm, pev, soc in samples(scenario):
-        put_t(t)
-        put_f(f)
-        put_pm(pm)
-        put_pev(pev)
-        put_soc(soc)
+    for block in sample_blocks(scenario):
+        for i, buf in enumerate(series):
+            buf.extend(block[i::5])
     c = scenario.controller
     on = (t for t, f in zip(*series[:2]) if latched(f, c.threshold_hz, False, c.latch_on))
     return Trajectory(*series, latch_time_s=next(on, None), event_time_s=scenario.event_time_s)
@@ -602,11 +633,17 @@ def evaluate_scenarios(
                 f"scenario {i} has {grid}, scenario 0 has {grids[0]}"
             )
     cells = list(map(_cell, scenarios))
-    # Each cell's first input index, keyed by its bits: repr round-trips
-    # every float, where == would merge 0.0 and -0.0.
-    seen: dict[str, int] = {}
-    first_index = [seen.setdefault(repr(c), i) for i, c in enumerate(cells)]
+    # Each cell's first input index, keyed by the bits of its numbers, where
+    # == would merge 0.0 and -0.0.
+    seen: dict[bytes, int] = {}
+    first_index = [
+        seen.setdefault(_CELL_BITS.pack(*c[:-2], *c.commands, *c.soc_rates), i)
+        for i, c in enumerate(cells)
+    ]
     firsts = list(seen.values())
+    # Freed before the cells step: kept, the keys' pools raised `fleetfreq
+    # daily`'s peak resident set by 0.15 MB (ru_maxrss, medians of 5 runs).
+    del seen
     batch = _Cell(*(np.array(f).T for f in zip(*(cells[i] for i in firsts))))
     try:
         results = dict(zip(firsts, _grid_metrics(batch, scenarios[0], settings)))
@@ -615,7 +652,7 @@ def evaluate_scenarios(
         # smallest input index of all diverged cells.
         i = firsts[diverged.cell]
         try:
-            for _ in samples(scenarios[i]):
+            for _ in sample_blocks(scenarios[i]):
                 pass
         except IntegrationError as exc:
             raise IntegrationError(exc.step_index, exc.time_s, i) from None

@@ -13,7 +13,7 @@ from hypothesis import given, settings as hypothesis_settings, strategies as st
 
 from fleetfreq import simulator
 from fleetfreq.config import day_profile_from_value, load_config_file, scenario_from_config
-from fleetfreq.controller import ControlMode, ControllerConfig
+from fleetfreq.controller import ControlMode, ControllerConfig, latched
 from fleetfreq.fleet import (
     ChargingStrategy,
     FleetConfig,
@@ -28,6 +28,7 @@ from fleetfreq.grid import (
     _rhs,
     effective_inertia,
     steady_state_deviation,
+    whole_steps,
 )
 from fleetfreq.metrics import MetricsConfig, evaluate, rocof_window
 from fleetfreq.simulator import (
@@ -37,7 +38,6 @@ from fleetfreq.simulator import (
     bundled_day_profile,
     default_scenario,
     evaluate_scenarios,
-    samples,
     scenario_grid,
     simulate,
 )
@@ -328,18 +328,167 @@ def test_divergence_detected():
         simulate(scenario)
 
 
+def reference_samples(scenario, states=None):
+    """The per-sample stepper sample_blocks replaces, kept as its oracle:
+    one (t, f, p_mech_pu, p_ev_pu, mean_soc) tuple per sample, the SoC
+    clipped by min and max and the state tested by four isfinite calls.
+    With states given, each step's four states are appended to it."""
+    c = simulator._cell(scenario)
+    dt = scenario.step_s
+    n_steps = whole_steps(scenario.horizon_s, dt)
+    columns, offsets = simulator._affine_map(c, dt)
+    x = [0.0] * 4
+    soc, triggered = c.soc0, False
+    for k in range(n_steps + 1):
+        t = k * dt
+        f = c.f0 * (1.0 + x[0])
+        triggered = latched(f, c.threshold_hz, triggered, c.latch_on)
+        yield t, f, x[2], x[3], soc
+        if k == n_steps:
+            return
+        gate = 2 * triggered + (soc > c.soc_reserve)
+        o = offsets[t >= scenario.event_time_s][gate]
+        x = [
+            columns[0][i] * x[0] + columns[1][i] * x[1] + columns[2][i] * x[2]
+            + columns[3][i] * x[3] + o[i]
+            for i in range(4)
+        ]
+        soc = min(1.0, max(0.0, soc + c.soc_rates[gate] * dt))
+        if states is not None:
+            states.append(x)
+        if not (math.isfinite(x[0]) and math.isfinite(x[1])
+                and math.isfinite(x[2]) and math.isfinite(x[3])):
+            raise IntegrationError(k + 1, t + dt)
+
+
+def drain(samples):
+    """The values of samples as float.hex, flattened, and the IntegrationError
+    that ended them, or None."""
+    got = []
+    try:
+        for values in samples:
+            got.extend(map(float.hex, values))
+    except IntegrationError as exc:
+        return got, (exc.step_index, exc.time_s)
+    return got, None
+
+
+def block_stepper_cases():
+    v2g = default_scenario(
+        horizon_s=10.0, controller=ControllerConfig(mode=ControlMode.V2G, participation=1.0)
+    )
+    charging, swinging = soc_bounds_cells()
+    # The second soc_bounds cell on the reference time grid: its SoC swings
+    # about its reserve at 0, so its reserve gate flips at most samples.
+    flipping = replace(swinging, horizon_s=60.0, step_s=0.01)
+    block = simulator._BLOCK_SAMPLES
+    # A step of 1/128 s, so that the horizons of n samples are exact.
+    whole = [
+        replace(v2g, step_s=2.0**-7, horizon_s=(n - 1) * 2.0**-7)
+        for n in (4 * block - 1, 4 * block, 4 * block + 1)
+    ]
+    return {
+        "v1g": with_controller(v2g, mode=ControlMode.V1G),
+        "v2g": v2g,
+        "latch_release": latch_release_cells()[-1],
+        # Sample 300 of 1,001, inside the second block.
+        "event_inside_a_block": replace(v2g, event_time_s=3.0, step_s=0.01),
+        "soc_clips_at_1": charging,
+        "soc_clips_at_0": swinging,
+        "reserve_gate_flips": flipping,
+        "whole_blocks_minus_1": whole[0],
+        "whole_blocks": whole[1],
+        "whole_blocks_plus_1": whole[2],
+        # Diverges at step 221 of 600, inside the first block.
+        "divergence": default_scenario(step_s=1.0, horizon_s=600.0),
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "v1g", "v2g", "latch_release", "event_inside_a_block", "soc_clips_at_1",
+        "soc_clips_at_0", "reserve_gate_flips", "whole_blocks_minus_1", "whole_blocks",
+        "whole_blocks_plus_1", "divergence",
+    ],
+)
+def test_sample_blocks_are_the_per_sample_stepper_bit_for_bit(name):
+    scenario = block_stepper_cases()[name]
+    blocks = []
+
+    def collect():
+        for block in simulator.sample_blocks(scenario):
+            blocks.append(len(block))
+            yield block
+
+    got, error = drain(collect())
+    expected, expected_error = drain(reference_samples(scenario))
+    assert got == expected
+    assert error == expected_error
+    # Every block but the last holds _BLOCK_SAMPLES samples.
+    block = 5 * simulator._BLOCK_SAMPLES
+    assert all(n == block for n in blocks[:-1]) and 0 < blocks[-1] <= block
+    if name == "divergence":
+        # The samples before the divergence come first, in a partial block.
+        assert error == (221, 221.0) and len(got) == 5 * 221 and blocks == [5 * 221]
+    if name == "reserve_gate_flips":
+        soc = [float.fromhex(v) for v in got[4::5]]
+        flips = sum((a > 0.0) != (b > 0.0) for a, b in zip(soc, soc[1:]))
+        assert flips > len(soc) / 2
+    if name.startswith("whole_blocks"):
+        n = whole_steps(scenario.horizon_s, scenario.step_s) + 1
+        assert sum(blocks) == 5 * n and len(blocks) == -(-n // simulator._BLOCK_SAMPLES)
+
+
+@pytest.mark.parametrize("soc0", [-0.0, math.nan])
+def test_the_soc_clip_gives_zero_for_a_negative_zero_and_nan(soc0, monkeypatch):
+    # min(1, max(0, soc)) maps -0.0 and NaN to 0.0, and so must the block
+    # stepper's two comparisons: a SoC of -0.0 would print as -0.000000.
+    scenario = default_scenario(horizon_s=1.0)
+    cell = simulator._cell
+    monkeypatch.setattr(
+        simulator, "_cell", lambda s: cell(s)._replace(soc0=soc0, soc_rates=(-0.0,) * 4)
+    )
+    got, error = drain(simulator.sample_blocks(scenario))
+    assert (got, error) == drain(reference_samples(scenario))
+    assert got[4::5][1:] == [float.hex(0.0)] * (len(got) // 5 - 1)
+
+
+def test_an_overflowing_state_sum_with_finite_states_does_not_stop_the_run():
+    # A per-unit loss near the largest float: at the steady state p_gov and
+    # p_mech each approach it, so df + p_gov + p_mech overflows while every
+    # state is finite. The per-sample stepper tests each state and runs on;
+    # the block stepper's one sum is not finite there, and its four tests
+    # find every state finite, so it runs on too.
+    grid = replace(default_scenario().grid, s_base_mw=1.0)
+    scenario = default_scenario(
+        grid=grid, disturbance_mw=1e308, horizon_s=30.0,
+        controller=ControllerConfig(mode=ControlMode.V2G, participation=1.0),
+    )
+    states = []
+    expected, expected_error = drain(reference_samples(scenario, states))
+    assert any(
+        all(map(math.isfinite, x)) and not math.isfinite(x[0] + x[1] + x[2] + x[3])
+        for x in states
+    )
+    got, error = drain(simulator.sample_blocks(scenario))
+    assert got == expected
+    assert error == expected_error
+
+
 def test_samples_are_the_trajectory_up_to_a_divergence():
     scenario = default_scenario(horizon_s=10.0, controller=ControllerConfig(participation=1.0))
     traj = simulate(scenario)
     series = (traj.times_s, traj.frequency_hz, traj.p_mech_pu, traj.p_ev_pu, traj.mean_soc)
-    assert list(samples(scenario)) == list(zip(*series))
+    flat = [v for block in simulator.sample_blocks(scenario) for v in block]
+    assert flat == [v for sample in zip(*series) for v in sample]
     # A divergence at step k comes after the k samples before it.
     got = []
     with pytest.raises(IntegrationError) as exc:
-        for sample in samples(default_scenario(step_s=1.0, horizon_s=600.0)):
-            got.append(sample)
-    assert len(got) == exc.value.step_index
-    assert got[-1][0] + 1.0 == exc.value.time_s
+        for block in simulator.sample_blocks(default_scenario(step_s=1.0, horizon_s=600.0)):
+            got.extend(block)
+    assert len(got) == 5 * exc.value.step_index
+    assert got[-5] + 1.0 == exc.value.time_s
 
 
 def test_infeasible_window_propagates():
