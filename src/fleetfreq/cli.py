@@ -45,16 +45,18 @@ from .simulator import (
     scenario_grid,
 )
 
+# Each command's column names and its row template: every row is one % of
+# the template, every number in it has six decimals.
 TRAJECTORY_COLUMNS = "t_s,f_hz,p_mech_pu,p_ev_pu,mean_soc"
+TRAJECTORY_ROW = "%.6f,%.6f,%.6f,%.6f,%.6f\n"
 METRICS_COLUMNS = (
     "scenario_id,mode,participation,strategy,clock_min,"
     "nadir_hz,nadir_s,rocof_hzps,overshoot_hz,settling_s,f_ss_hz"
 )
+# settling_s is a %s field: empty when the band is never held.
+METRICS_ROW = "%s,%s,%.6f,%s,%.6f,%.6f,%.6f,%.6f,%.6f,%s,%.6f\n"
 PROFILE_COLUMNS = "clock_min,per_vehicle_kw,aggregate_mw,mean_soc"
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.6f}"
+PROFILE_ROW = "%.6f,%.6f,%.6f,%.6f\n"
 
 
 def write_atomic(path: str | Path, header: str, lines: Iterable[str]) -> None:
@@ -221,10 +223,9 @@ def cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
     scenario = scenario_from_config(cfg)
     metrics_from_config(cfg)  # checked, though a trajectory has no metrics
-    # One % formats a block: the row format once per sample in it.
+    # One % formats a block: the row template once per sample in it.
     lines = (
-        "%.6f,%.6f,%.6f,%.6f,%.6f\n" * (len(block) // 5) % tuple(block)
-        for block in sample_blocks(scenario)
+        TRAJECTORY_ROW * (len(block) // 5) % tuple(block) for block in sample_blocks(scenario)
     )
     echo = scenario_to_config(scenario)
     what = f"{whole_steps(scenario.horizon_s, scenario.step_s) + 1} samples"
@@ -232,21 +233,12 @@ def cmd_simulate(args) -> int:
 
 
 def _metrics_row(scenario_id: str, s: Scenario, m: FrequencyMetrics) -> str:
-    settling = "" if m.settling_time_s is None else _fmt(m.settling_time_s)
-    return ",".join(
-        (
-            scenario_id,
-            s.controller.mode.value,
-            _fmt(s.controller.participation),
-            s.fleet.strategy.value,
-            _fmt(s.clock_min),
-            _fmt(m.nadir_hz),
-            _fmt(m.nadir_time_s),
-            _fmt(m.rocof_hz_per_s),
-            _fmt(m.overshoot_hz),
-            settling,
-            _fmt(m.f_steady_state_hz),
-        )
+    c = s.controller
+    settling = "" if m.settling_time_s is None else "%.6f" % m.settling_time_s
+    return METRICS_ROW % (
+        scenario_id, c.mode.value, c.participation, s.fleet.strategy.value, s.clock_min,
+        m.nadir_hz, m.nadir_time_s, m.rocof_hz_per_s, m.overshoot_hz, settling,
+        m.f_steady_state_hz,
     )
 
 
@@ -280,7 +272,7 @@ def _write_grid(
     except IntegrationError as exc:
         exc.args = (f"{ids[exc.cell]}: {exc}",)
         raise
-    lines = (_metrics_row(sid, s, m) + "\n" for sid, s, m in zip(ids, scenarios, results))
+    lines = (_metrics_row(sid, s, m) for sid, s, m in zip(ids, scenarios, results))
     return _write(args, command, echo, METRICS_COLUMNS, lines, f"{len(ids)} cells")
 
 
@@ -323,7 +315,7 @@ def cmd_profile(args) -> int:
     fleet = from_section(_section(cfg, "fleet"), FleetConfig(), "fleet")
     profile = from_section(_section(cfg, "profile"), ProfileSettings(), "profile")
     series = charging_profile(fleet, profile)
-    lines = (",".join(map(_fmt, row)) + "\n" for row in zip(*series))
+    lines = (PROFILE_ROW % row for row in zip(*series))
 
     echo = {"fleet": to_section(fleet), "profile": to_section(profile)}
     return _write(args, "profile", echo, PROFILE_COLUMNS, lines, f"{len(series[0])} samples")
